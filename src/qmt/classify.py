@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import ENUMERATION_LIMIT, Event
 from .errors import BruteForceLimitError, QmtError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, event_measures
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, first_weak_violation
 
 
 class WeakResult(NamedTuple):
@@ -48,13 +48,10 @@ def is_weakly_positive(
     """Sweep all 2**n events; the witness is the first violator by bitmask."""
     if s.n > limit:
         raise BruteForceLimitError(f"weak positivity sweep needs n <= {limit}, got {s.n}")
-    slack = tol.scaled(s.matrix)
-    mu = event_measures(s.matrix)
-    bad = np.nonzero(mu < -slack)[0]
-    if bad.size == 0:
+    violation = first_weak_violation(s.matrix, tol.scaled(s.matrix))
+    if violation is None:
         return WeakResult(True, None, None)
-    first = int(bad[0])
-    return WeakResult(False, Event(first, s.n), float(mu[first]))
+    return WeakResult(False, *violation)
 
 
 def is_strongly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> StrongResult:

@@ -1,8 +1,9 @@
 """Command-line front end: classify, compose, witness, probe, gen, verify.
 
-Exit codes: 0 success, 2 parse/usage error, 3 axiom or sum-rule failure,
-4 arity or enumeration overflow, 5 construction precondition not met,
-6 exponent cap exceeded, 1 other errors.
+Exit codes: 0 success, 2 parse/usage error (a non-finite number in a
+document included), 3 axiom or sum-rule failure, 4 arity or enumeration
+overflow, 5 construction precondition not met, 6 exponent cap exceeded,
+1 other errors.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import sys
 
 import numpy as np
 
-from .classify import classify
+from .classify import classify, is_strongly_positive
 from .compose import compose
 from .documents import SystemDocument, read_document, write_document
 from .errors import (
+    ArityMismatchError,
     AxiomViolationError,
     BruteForceLimitError,
     DocumentError,
@@ -38,9 +40,17 @@ EXIT_OVERFLOW = 4
 EXIT_PRECONDITION = 5
 EXIT_QCAP = 6
 
-
-def _tolerance(args) -> Tolerance:
-    return Tolerance(eps_abs=args.eps, eps_rel=args.eps)
+# The exit code of an error is that of the nearest class in its MRO listed here.
+EXIT_CODES = {
+    DocumentError: EXIT_PARSE,
+    AxiomViolationError: EXIT_AXIOM,
+    SumRuleViolationError: EXIT_AXIOM,
+    ArityMismatchError: EXIT_OVERFLOW,
+    BruteForceLimitError: EXIT_OVERFLOW,
+    PreconditionError: EXIT_PRECONDITION,
+    QCapError: EXIT_QCAP,
+    QmtError: EXIT_ERROR,
+}
 
 
 def _load_system(path, tol):
@@ -58,7 +68,7 @@ def _event_labels(event, labels) -> str:
 
 
 def cmd_classify(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     doc, system = _load_system(args.path, tol)
     result = classify(system, tol)
     if args.json:
@@ -102,7 +112,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     doc_a, sys_a = _load_system(args.first, tol)
     doc_b, sys_b = _load_system(args.second, tol)
     composed = compose(sys_a, sys_b, tol)
@@ -116,7 +126,7 @@ def cmd_compose(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     doc, system = _load_system(args.path, tol)
     w = build_witness(system, tol, q_cap=args.qmax)
     labels = system.labels
@@ -181,7 +191,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     doc, system = _load_system(args.path, tol)
     if args.vector is not None:
         try:
@@ -196,7 +206,7 @@ def cmd_probe(args) -> int:
             )
         source = "given"
     else:
-        v = np.linalg.eigh(system.matrix)[1][:, 0]
+        v = is_strongly_positive(system, tol).eigenvector
         source = "min-eigenvector"
     probe = build_probe_system(v, tol)
     value = probe_quadratic_form(system, system.atoms(), v, tol)
@@ -218,9 +228,7 @@ def cmd_probe(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    tol = _tolerance(args)
-    request = GenSpec(kind=args.kind, atoms=args.atoms, seed=args.seed)
-    system = generate(request, tol)
+    system = generate(args.spec, args.tol)
     name = args.name or f"{args.kind}-{args.atoms}-{args.seed}"
     doc = SystemDocument(
         name=name, atoms=system.labels, matrix=system.matrix, metadata=system.metadata
@@ -231,7 +239,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = _tolerance(args)
+    tol = args.tol
     doc = read_document(args.path)
     report = check_axioms(doc.matrix, tol)
     print(f"system: {doc.name}  (atoms: {len(doc.atoms)})")
@@ -243,11 +251,11 @@ def cmd_verify(args) -> int:
         return EXIT_AXIOM
     system = doc.to_system(tol)
     rule = check_quantal_sum_rule(system, tol)
-    mode = "exhaustive" if rule.exhaustive else "sampled"
-    print(
-        f"  quantal sum rule: {'pass' if rule.passed else 'FAIL'}"
-        f"  (max residual {rule.max_residual:.3e}, {mode})"
-    )
+    if rule.exhaustive:
+        detail = f"max residual {rule.max_residual:.3e}, exhaustive"
+    else:
+        detail = "by construction"
+    print(f"  quantal sum rule: {'pass' if rule.passed else 'FAIL'}  ({detail})")
     if report.weakly_positive is not None:
         note = ""
         if not report.weakly_positive:
@@ -315,29 +323,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv):
+    """Parsed arguments plus the tolerance and gen spec; invalid values are usage errors."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.tol = Tolerance(eps_abs=args.eps, eps_rel=args.eps)
+        if args.command == "gen":
+            args.spec = GenSpec(kind=args.kind, atoms=args.atoms, seed=args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse_args(argv)
+    try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (AxiomViolationError, SumRuleViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AXIOM
-    except BruteForceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except QCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_QCAP
     except QmtError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":

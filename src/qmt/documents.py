@@ -17,6 +17,7 @@ the pair-index convention (i, j) -> i*n2 + j for their atom order.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -97,10 +98,15 @@ def _require(condition: bool, message: str) -> None:
         raise DocumentError(message)
 
 
+def _reject_constant(name: str):
+    raise DocumentError(f"non-finite number {name} is not allowed")
+
+
 def loads(text: str) -> SystemDocument:
+    """Parse a document; non-finite numbers (NaN, Infinity, 1e999) are refused."""
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # malformed JSON, or an integer with too many digits
         raise DocumentError(f"invalid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "document must be a JSON object")
     for key in ("name", "atoms", "matrix"):
@@ -129,7 +135,12 @@ def loads(text: str) -> SystemDocument:
                 and not isinstance(re, bool) and not isinstance(im, bool),
                 f"matrix entry ({i}, {j}) must hold numbers",
             )
-            matrix[i, j] = complex(float(re), float(im))
+            try:
+                z = complex(float(re), float(im))
+            except OverflowError:  # an integer beyond the double range
+                z = complex(math.inf)
+            _require(cmath.isfinite(z), f"matrix entry ({i}, {j}) is not finite")
+            matrix[i, j] = z
     metadata = raw.get("metadata", {})
     _require(isinstance(metadata, dict), '"metadata" must be an object')
     return SystemDocument(name=name, atoms=tuple(atoms), matrix=matrix, metadata=metadata)

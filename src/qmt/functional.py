@@ -9,7 +9,9 @@ so non-weakly-positive "quasi-systems" are representable too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+import math
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,8 +35,8 @@ class Tolerance:
     eps_rel: float = 1e-9
 
     def __post_init__(self):
-        if self.eps_abs < 0 or self.eps_rel < 0:
-            raise ValueError("tolerances must be non-negative")
+        if not (0 <= self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
+            raise ValueError("tolerances must be finite and non-negative")
 
     def scaled(self, matrix: np.ndarray) -> float:
         return self.eps_abs + self.eps_rel * float(np.linalg.norm(matrix))
@@ -54,12 +56,8 @@ class QuantumSystem:
     __slots__ = ("matrix", "labels", "metadata")
 
     def __init__(self, matrix, labels=None, *, tol: Tolerance = DEFAULT_TOL, metadata=None):
-        m = np.array(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise AxiomViolationError(f"atomic matrix must be square, got shape {m.shape}")
+        m, axioms = _matrix_axioms(matrix, tol)
         n = m.shape[0]
-        if n == 0:
-            raise AxiomViolationError("a system needs at least one atom")
         if labels is None:
             labels = tuple(f"g{i}" for i in range(n))
         else:
@@ -68,16 +66,13 @@ class QuantumSystem:
                 raise AxiomViolationError(
                     f"{len(labels)} labels for a {n}-atom matrix"
                 )
-        slack = tol.scaled(m)
-        herm_residual = float(np.abs(m - m.conj().T).max())
-        if herm_residual > slack:
+        if not axioms.hermitian:
             raise AxiomViolationError(
-                f"matrix is not Hermitian (max residual {herm_residual:.3e})"
+                f"matrix is not Hermitian (max residual {axioms.hermitian_residual:.3e})"
             )
-        total = complex(m.sum())
-        if abs(total - 1.0) > slack:
+        if not axioms.normalized:
             raise AxiomViolationError(
-                f"entries sum to {total:.6g}, expected 1"
+                f"entries sum to {axioms.entry_sum:.6g}, expected 1"
             )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -170,6 +165,16 @@ def event_measures(matrix: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
     return out
 
 
+def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
+    """The lowest-bitmask event with measure below -slack, and that measure."""
+    mu = event_measures(matrix)
+    bad = np.flatnonzero(mu < -slack)
+    if bad.size == 0:
+        return None
+    first = int(bad[0])
+    return Event(first, matrix.shape[0]), float(mu[first])
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     hermitian: bool
@@ -177,13 +182,39 @@ class AxiomReport:
     normalized: bool
     entry_sum: complex
     additivity: str
-    weakly_positive: bool | None
-    weak_violation: Event | None
-    weak_violation_value: float | None
+    weakly_positive: bool | None = None
+    weak_violation: Event | None = None
+    weak_violation_value: float | None = None
 
     @property
     def is_system(self) -> bool:
         return self.hermitian and self.normalized
+
+
+def _matrix_axioms(matrix, tol: Tolerance) -> tuple[np.ndarray, AxiomReport]:
+    """Complex copy of a square, non-empty, finite matrix and its axiom report.
+
+    Shared by ``QuantumSystem`` and ``check_axioms``; weak fields left unset.
+    """
+    m = np.array(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise AxiomViolationError(f"atomic matrix must be square, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise AxiomViolationError("a system needs at least one atom")
+    entry_sum = complex(m.sum())
+    # A NaN or infinite entry makes the sum non-finite (so does a sum that
+    # overflows, which no normalised matrix has), without a pass of its own.
+    if not cmath.isfinite(entry_sum):
+        raise AxiomViolationError("matrix entries must be finite")
+    slack = tol.scaled(m)
+    herm_residual = float(np.abs(m - m.conj().T).max())
+    return m, AxiomReport(
+        hermitian=herm_residual <= slack,
+        hermitian_residual=herm_residual,
+        normalized=abs(entry_sum - 1.0) <= slack,
+        entry_sum=entry_sum,
+        additivity="by construction (bi-additive evaluation)",
+    )
 
 
 def check_axioms(
@@ -200,36 +231,16 @@ def check_axioms(
     rather than re-tested.  The weak-positivity sweep is optional and only
     runs when 2**n is within ``weak_limit``.
     """
-    m = matrix.matrix if isinstance(matrix, QuantumSystem) else np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise AxiomViolationError(f"matrix must be square, got shape {m.shape}")
-    slack = tol.scaled(m)
-    herm_residual = float(np.abs(m - m.conj().T).max())
-    hermitian = herm_residual <= slack
-    entry_sum = complex(m.sum())
-    normalized = abs(entry_sum - 1.0) <= slack
-
-    weakly_positive = None
-    violation = None
-    violation_value = None
-    n = m.shape[0]
-    if check_weak and hermitian and n <= weak_limit:
-        mu = event_measures(m)
-        bad = np.nonzero(mu < -slack)[0]
-        weakly_positive = bad.size == 0
-        if not weakly_positive:
-            violation = Event(int(bad[0]), n)
-            violation_value = float(mu[bad[0]])
-    return AxiomReport(
-        hermitian=hermitian,
-        hermitian_residual=herm_residual,
-        normalized=normalized,
-        entry_sum=entry_sum,
-        additivity="by construction (bi-additive evaluation)",
-        weakly_positive=weakly_positive,
-        weak_violation=violation,
-        weak_violation_value=violation_value,
+    m, report = _matrix_axioms(
+        matrix.matrix if isinstance(matrix, QuantumSystem) else matrix, tol
     )
+    if not (check_weak and report.hermitian and m.shape[0] <= weak_limit):
+        return report
+    violation = first_weak_violation(m, tol.scaled(m))
+    if violation is None:
+        return replace(report, weakly_positive=True)
+    event, value = violation
+    return replace(report, weakly_positive=False, weak_violation=event, weak_violation_value=value)
 
 
 def _sum_rule_residuals(values: np.ndarray, n: int):
@@ -278,46 +289,21 @@ def check_quantal_sum_rule(
     tol: Tolerance = DEFAULT_TOL,
     *,
     exhaustive_limit: int = 8,
-    samples: int = 2000,
-    seed: int = 0,
 ) -> SumRuleReport:
     """Test the quantal sum rule on disjoint triples of events.
 
-    Exhaustive over all 4**n assignments when n <= exhaustive_limit,
-    otherwise over ``samples`` seeded random disjoint triples.
+    Exhaustive over all 4**n assignments when n <= exhaustive_limit.  Above
+    it the rule is reported as holding by construction (``exhaustive`` False,
+    zero residual): every measure of a matrix-defined system is a
+    bi-additive sum of atomic entries, for which the rule is an identity.
     """
     n = s.n
+    if n > exhaustive_limit:
+        return SumRuleReport(passed=True, max_residual=0.0, exhaustive=False, worst_triple=None)
     slack = tol.scaled(s.matrix)
-    exhaustive = n <= exhaustive_limit
-    if exhaustive:
-        values = event_measures(s.matrix)
-        triples = _sum_rule_residuals(values, n)
-    else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-
-        def sampled():
-            for _ in range(samples):
-                buckets = rng.integers(0, 4, size=n)
-                masks = [0, 0, 0]
-                for atom, bucket in enumerate(buckets):
-                    if bucket:
-                        masks[bucket - 1] |= 1 << atom
-                evs = [Event(mask, n) for mask in masks]
-                mu = [quantal_measure(s, e, tol) for e in evs]
-                mu_pairs = [
-                    quantal_measure(s, evs[0] | evs[1], tol),
-                    quantal_measure(s, evs[1] | evs[2], tol),
-                    quantal_measure(s, evs[0] | evs[2], tol),
-                ]
-                mu_all = quantal_measure(s, evs[0] | evs[1] | evs[2], tol)
-                residual = mu_all - sum(mu_pairs) + sum(mu)
-                yield masks[0], masks[1], masks[2], residual
-
-        triples = sampled()
-
     worst = 0.0
     worst_triple = None
-    for a, b, c, residual in triples:
+    for a, b, c, residual in _sum_rule_residuals(event_measures(s.matrix), n):
         r = abs(residual)
         if r > worst:
             worst = r
@@ -326,7 +312,7 @@ def check_quantal_sum_rule(
     return SumRuleReport(
         passed=passed,
         max_residual=worst,
-        exhaustive=exhaustive,
+        exhaustive=True,
         worst_triple=None if passed else worst_triple,
     )
 

@@ -15,19 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
-from .classify import (
-    Classification,
-    classify,
-    is_positive_entry,
-    is_strongly_positive,
-    is_weakly_positive,
-)
+from .classify import Classification, classify
 from .compose import MATERIALIZATION_LIMIT, compose, self_compose
 from .errors import (
     AxiomViolationError,
@@ -36,7 +30,14 @@ from .errors import (
     QmtError,
     SearchExhaustedError,
 )
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, eval_D, quantal_measure
+from .functional import (
+    DEFAULT_TOL,
+    QuantumSystem,
+    Tolerance,
+    eval_D,
+    event_matrix,
+    quantal_measure,
+)
 
 PERM_ORDER_MIN = 2
 PERM_ORDER_MAX = 6
@@ -52,7 +53,6 @@ PAIR_SEARCH_LIMIT = 24
 # permutation blocks), which is algebraically identical.
 ORACLE_PAIR_CAP = 2048
 COMPONENT_LIST_CAP = 65536
-PHASE_FALLBACK_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,11 @@ def _perm_block_sums(matrix: np.ndarray) -> tuple[complex, complex, complex, com
 
     Each block is enumerated directly; no parity identities are assumed,
     so these sums can serve as an independent check of those identities.
+    Guarded to orders 2..6: the double sum has (m!/2)**2 terms.
     """
     m = matrix.shape[0]
+    if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
+        raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
     even, odd = _permutations_by_parity(m)
     ee = _perm_block_sum(matrix, even, even)
     eo = _perm_block_sum(matrix, even, odd)
@@ -130,16 +133,11 @@ class PermSums:
 
 
 def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
-    """Compute ee and eo; both are real for Hermitian input.
-
-    Guarded to orders 2..6: the double sum has (m!/2)**2 terms.
-    """
+    """Compute ee and eo (orders 2..6); both are real for Hermitian input."""
     n = np.asarray(matrix, dtype=complex)
     m = n.shape[0]
     if n.ndim != 2 or n.shape[0] != n.shape[1]:
         raise ValueError(f"matrix must be square, got shape {n.shape}")
-    if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
-        raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
     ee, eo, _, _ = _perm_block_sums(n)
     half = math.factorial(m) // 2
     scale = half * half * max(1.0, float(np.abs(n).max())) ** m
@@ -156,8 +154,6 @@ def det_identity_residual(matrix: np.ndarray) -> float:
     """Residual of the identity m! * det = 2*ee - 2*eo for a square matrix."""
     n = np.asarray(matrix, dtype=complex)
     m = n.shape[0]
-    if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
-        raise ValueError(f"identity check supports order 2..{PERM_ORDER_MAX}, got {m}")
     ee, eo, _, _ = _perm_block_sums(n)
     det = complex(np.linalg.det(n))
     return abs(math.factorial(m) * det - 2.0 * ee + 2.0 * eo)
@@ -200,55 +196,10 @@ def find_phase_pair(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> PhasePair
     condition sits off the diagonal and the scan over off-diagonal atomic
     pairs is sufficient.  Among valid pairs the one with the largest phase
     magnitude wins (ties by row-major order): phases near zero force huge
-    exponents downstream.  A generic event-pair search with the
-    disjointness splitting A1 = A&B, A2 = A\\B, B2 = B\\A is kept as a
-    fallback for inputs at the tolerance boundary.
+    exponents downstream.  Raises SearchExhaustedError when no off-diagonal
+    entry has a phase.
     """
-    candidates = _pair_candidates(s, tol)
-    if candidates:
-        return candidates[0]
-    if s.n <= PHASE_FALLBACK_LIMIT:
-        hit = _phase_pair_fallback(s, tol.scaled(s.matrix))
-        if hit is not None:
-            return hit
-    raise SearchExhaustedError(
-        "no event pair with non-trivial phase: system is positive-entry within tolerance"
-    )
-
-
-def _phase_pair_fallback(s: QuantumSystem, eps: float) -> PhasePair | None:
-    n = s.n
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.uint64)
-    masks = np.arange(total, dtype=np.uint64)
-    indicators = (masks[:, None] >> shifts[None, :] & 1).astype(complex)
-    row_sums = indicators @ s.matrix  # row_sums[a] = sum of rows in mask a
-
-    def candidate(a_bits: int, b_bits: int) -> PhasePair | None:
-        if a_bits == 0 or b_bits == 0:
-            return None
-        value = complex(indicators[b_bits] @ row_sums[a_bits])
-        pe = polar(value, eps)
-        if pe.r > 0.0 and pe.theta != 0.0:
-            return PhasePair(Event(a_bits, n), Event(b_bits, n), pe.theta, pe.r)
-        return None
-
-    for a_bits in range(1, total):
-        values = row_sums[a_bits] @ indicators.T
-        for b_bits in range(1, total):
-            pe = polar(complex(values[b_bits]), eps)
-            if pe.r == 0.0 or pe.theta == 0.0:
-                continue
-            if a_bits & b_bits == 0:
-                return PhasePair(Event(a_bits, n), Event(b_bits, n), pe.theta, pe.r)
-            a1 = a_bits & b_bits
-            a2 = a_bits & ~b_bits
-            b2 = b_bits & ~a_bits
-            for pair in ((a1, b2), (a2, a1), (a2, b2)):
-                found = candidate(*pair)
-                if found is not None:
-                    return found
-    return None
+    return _pair_candidates(s, tol)[0]
 
 
 class NegDetSubset(NamedTuple):
@@ -263,7 +214,8 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, *, size_cap: int, limi
     Within each size, subsets come in ascending bitmask order.  Small
     subsets keep the permutation sums and component counts downstream
     small, so they are preferred, but later candidates matter when the
-    first subset's permutation sums leave no feasible exponent.
+    first subset's permutation sums leave no feasible exponent.  Raises
+    SearchExhaustedError when there is none.
     """
     n = s.n
     m = s.matrix
@@ -284,6 +236,12 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, *, size_cap: int, limi
                 found += 1
                 if found >= limit:
                     return
+    if not found:
+        lo = float(np.linalg.eigvalsh(m)[0])
+        raise SearchExhaustedError(
+            f"no principal submatrix of size <= {size_cap} has negative determinant "
+            f"(lambda_min = {lo:.3e}); the system is PSD or borderline"
+        )
 
 
 def find_negative_det_subset(
@@ -298,13 +256,7 @@ def find_negative_det_subset(
     Hermitian matrix that is not PSD always has such a subset, though
     possibly larger than the size cap.
     """
-    for neg in _neg_det_candidates(s, tol, size_cap=size_cap, limit=1):
-        return neg
-    lo = float(np.linalg.eigvalsh(s.matrix)[0])
-    raise SearchExhaustedError(
-        f"no principal submatrix of size <= {size_cap} has negative determinant "
-        f"(lambda_min = {lo:.3e}); the system is PSD or borderline"
-    )
+    return next(_neg_det_candidates(s, tol, size_cap=size_cap, limit=1))
 
 
 @dataclass(frozen=True)
@@ -333,8 +285,8 @@ class Witness:
     components: tuple[tuple[int, ...], ...] | None
     predicted_value: float
     verified_value: float
-    cross_checked: bool
-    cross_check_value: float | None
+    cross_checked: bool = False
+    cross_check_value: float | None = None
 
     def component_atom_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Components as atom-index tuples; requires singleton factors."""
@@ -376,7 +328,7 @@ def _neg_cos_candidates(theta: float, hi: int) -> list[int]:
 
 
 def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
-    """Valid atomic phase pairs, largest phase magnitude first."""
+    """Valid atomic phase pairs, largest phase magnitude first; never empty."""
     eps = tol.scaled(s.matrix)
     out = []
     for i in range(s.n):
@@ -386,6 +338,10 @@ def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
             pe = polar(complex(s.matrix[i, j]), eps)
             if pe.r > 0.0 and pe.theta != 0.0:
                 out.append((-abs(pe.theta), i, j, PhasePair(s.atom(i), s.atom(j), pe.theta, pe.r)))
+    if not out:
+        raise SearchExhaustedError(
+            "no event pair with non-trivial phase: system is positive-entry within tolerance"
+        )
     out.sort(key=lambda item: item[:3])
     return [item[3] for item in out]
 
@@ -424,12 +380,6 @@ def _search_case_b(
     subsets = list(
         _neg_det_candidates(s, tol, size_cap=NEG_DET_SIZE_CAP, limit=SUBSET_SEARCH_LIMIT)
     )
-    if not subsets:
-        lo = float(np.linalg.eigvalsh(s.matrix)[0])
-        raise SearchExhaustedError(
-            f"no principal submatrix of size <= {NEG_DET_SIZE_CAP} has negative "
-            f"determinant (lambda_min = {lo:.3e})"
-        )
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
         ee, eo = sums.ee, sums.eo
@@ -504,17 +454,15 @@ def build_witness(
     eps = tol.scaled(s.matrix)
     if s.n < 2:
         raise PreconditionError("witness construction needs at least 2 atoms")
-    if not is_weakly_positive(s, tol).ok:
+    c = classify(s, tol)
+    if not c.weakly_positive:
         raise PreconditionError("system is not weakly positive")
-    if is_strongly_positive(s, tol).ok:
+    if c.strongly_positive:
         raise PreconditionError("system is strongly positive")
-    if is_positive_entry(s, tol).ok:
+    if c.positive_entry:
         raise PreconditionError("system is positive entry")
 
     pairs = _pair_candidates(s, tol)
-    if not pairs:
-        # tolerance-boundary inputs: fall back to the event-pair splitting
-        pairs = [find_phase_pair(s, tol)]
     primary = pairs[0]
     r_aa = max(0.0, quantal_measure(s, primary.first, tol))
     r_bb = max(0.0, quantal_measure(s, primary.second, tol))
@@ -555,13 +503,8 @@ def build_witness(
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
     verified = verified_c.real
 
-    cross_value = None
-    cross_checked = False
-    if s.n**k <= cross_check_limit and components is not None:
-        cross_value = _materialized_value(s, factors, components, k, tol)
-        cross_checked = True
-
     return _finish(
+        s,
         Witness(
             case=case,
             phase_pair=pair,
@@ -578,10 +521,9 @@ def build_witness(
             components=components,
             predicted_value=predicted,
             verified_value=verified,
-            cross_checked=cross_checked,
-            cross_check_value=cross_value,
         ),
         tol,
+        cross_check_limit,
     )
 
 
@@ -604,13 +546,8 @@ def _case_a(
     verified_c = _double_sum(values, np.array(components, dtype=np.intp))
     verified = verified_c.real
 
-    cross_value = None
-    cross_checked = False
-    if s.n**k <= cross_check_limit:
-        cross_value = _materialized_value(s, factors, components, k, tol)
-        cross_checked = True
-
     return _finish(
+        s,
         Witness(
             case="a",
             phase_pair=pair,
@@ -627,10 +564,9 @@ def _case_a(
             components=components,
             predicted_value=predicted,
             verified_value=verified,
-            cross_checked=cross_checked,
-            cross_check_value=cross_value,
         ),
         tol,
+        cross_check_limit,
     )
 
 
@@ -694,7 +630,8 @@ def _materialized_value(
     return quantal_measure(power, event, tol)
 
 
-def _finish(w: Witness, tol: Tolerance) -> Witness:
+def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int) -> Witness:
+    """Check the verified value, then cross-check it when s.n**k fits the limit."""
     slack = tol.eps_abs + tol.eps_rel * max(1.0, abs(w.predicted_value))
     if abs(w.predicted_value - w.verified_value) > slack:
         raise QmtError(
@@ -705,14 +642,16 @@ def _finish(w: Witness, tol: Tolerance) -> Witness:
         raise QmtError(
             f"constructed event has non-negative measure {w.verified_value:.3e}"
         )
-    if w.cross_checked and w.cross_check_value is not None:
-        gap = abs(w.cross_check_value - w.verified_value)
-        if gap > tol.eps_abs + tol.eps_rel * max(1.0, abs(w.verified_value)):
-            raise QmtError(
-                f"materialized cross-check {w.cross_check_value:.12e} disagrees "
-                f"with the component sum {w.verified_value:.12e}"
-            )
-    return w
+    if w.components is None or s.n**w.k > cross_check_limit:
+        return w
+    cross_value = _materialized_value(s, w.factors, w.components, w.k, tol)
+    gap = abs(cross_value - w.verified_value)
+    if gap > tol.eps_abs + tol.eps_rel * max(1.0, abs(w.verified_value)):
+        raise QmtError(
+            f"materialized cross-check {cross_value:.12e} disagrees "
+            f"with the component sum {w.verified_value:.12e}"
+        )
+    return replace(w, cross_checked=True, cross_check_value=cross_value)
 
 
 @dataclass(frozen=True)
@@ -750,10 +689,7 @@ def tensor_closed_probe(
     composed = compose(s1, s2, tol)
     full2 = Event.full(s2.n)
     padded = [embed_product(ProductRectangle(s1.atom(i), full2)) for i in range(s1.n)]
-    pmat = np.zeros((s1.n, s1.n), dtype=complex)
-    for i in range(s1.n):
-        for j in range(s1.n):
-            pmat[i, j] = eval_D(composed, padded[i], padded[j])
+    pmat = event_matrix(composed, padded)
     lo = float(np.linalg.eigvalsh(pmat)[0])
 
     i, j = c2.entry_violation

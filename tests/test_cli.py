@@ -5,8 +5,33 @@ import sys
 import numpy as np
 import pytest
 
+from qmt import cli
 from qmt.cli import main
 from qmt.documents import SystemDocument, bundled_document, read_document, write_document
+from qmt.errors import (
+    ArityMismatchError,
+    AxiomViolationError,
+    BruteForceLimitError,
+    DocumentError,
+    PreconditionError,
+    QCapError,
+    QmtError,
+    SearchExhaustedError,
+    SumRuleViolationError,
+)
+
+# Exit codes as documented in the cli module docstring and README.
+DOCUMENTED_EXIT_CODES = {
+    DocumentError: 2,
+    AxiomViolationError: 3,
+    SumRuleViolationError: 3,
+    ArityMismatchError: 4,
+    BruteForceLimitError: 4,
+    PreconditionError: 5,
+    QCapError: 6,
+    SearchExhaustedError: 1,
+    QmtError: 1,
+}
 
 
 @pytest.fixture()
@@ -206,6 +231,14 @@ class TestGenAndVerifyCommands:
         code, _, _ = run(["verify", doc_path("strong_not_posentry")], capsys)
         assert code == 0
 
+    def test_verify_above_exhaustive_limit_holds_by_construction(self, tmp_path, capsys):
+        path = tmp_path / "c9.json"
+        argv = ["gen", "--kind", "classical", "--atoms", "9", "--seed", "1", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert "quantal sum rule: pass  (by construction)" in out
+
     def test_verify_non_normalized_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -215,6 +248,65 @@ class TestGenAndVerifyCommands:
         )
         code, _, _ = run(["verify", str(bad)], capsys)
         assert code == 3
+
+
+def _two_atom_doc(first_re: str) -> str:
+    return (
+        '{"name": "x", "atoms": ["a", "b"], "matrix": ['
+        f'[{{"re": {first_re}, "im": 0}}, {{"re": 0, "im": 0}}], '
+        '[{"re": 0, "im": 0}, {"re": 1, "im": 0}]], "metadata": {}}'
+    )
+
+
+class TestErrorExits:
+    def test_every_error_class_has_a_documented_code(self):
+        assert set(DOCUMENTED_EXIT_CODES) == {QmtError, *QmtError.__subclasses__()}
+
+    @pytest.mark.parametrize(
+        "error, code", list(DOCUMENTED_EXIT_CODES.items()), ids=lambda x: getattr(x, "__name__", x)
+    )
+    def test_error_maps_to_documented_exit_code(self, monkeypatch, capsys, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "cmd_verify", fail)
+        got, _, err = run(["verify", "unused.json"], capsys)
+        assert got == code
+        assert err == "error: boom\n"
+
+    @pytest.mark.parametrize("command", ["classify", "probe", "verify", "witness", "compose"])
+    @pytest.mark.parametrize(
+        "entry",
+        ["NaN", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="400-digit-integer")],
+    )
+    def test_non_finite_document_exits_2(self, tmp_path, capsys, command, entry):
+        path = tmp_path / "bad.json"
+        path.write_text(_two_atom_doc(entry))
+        argv = [command, str(path)]
+        if command == "compose":
+            argv += [str(path), "-o", str(tmp_path / "out.json")]
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "x.json", "--eps", "-1"],
+            ["classify", "x.json", "--eps", "nan"],
+            ["gen", "--kind", "strong", "--atoms", "0", "--seed", "1", "-o", "x.json"],
+            ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "1", "--seed", "1",
+             "-o", "x.json"],
+        ],
+        ids=["negative-eps", "nan-eps", "zero-atoms", "one-atom-weak-only"],
+    )
+    def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestEntryPoint:

@@ -7,6 +7,7 @@ from qmt import (
     Event,
     GenSpec,
     QuantumSystem,
+    Tolerance,
     build_witness,
     cos_sign_pair,
     det_identity_residual,
@@ -160,6 +161,24 @@ class TestFindPhasePair:
             pair = find_phase_pair(s)
             assert pair.first.isdisjoint(pair.second)
             assert pair.modulus > 0 and pair.theta != 0
+
+    @pytest.mark.parametrize("atoms", [2, 3])
+    def test_mismatched_tolerance_system_has_no_witness(self, atoms):
+        # Built at a loose tolerance with a 1e-6 imaginary diagonal, then
+        # searched at the default one: not positive-entry, yet no atomic
+        # entry carries a phase.  In the 3-atom system two off-diagonal
+        # imaginary parts, each within tolerance, sum to a phase on the
+        # non-atomic pair ({0}, {1, 2}); no witness may be built from it.
+        if atoms == 2:
+            m = np.array([[0.2 + 1e-6j, 0.4], [0.4, 0.0]])
+        else:
+            m = np.array([[0.2, 0.4, 0.1], [0.4, 0.0, 0.1], [0.1, 0.1, 0.6]]) / 2.0
+            m = m + 1j * np.array([[1e-6, 1e-9, 1e-9], [-1e-9, 0, 0], [-1e-9, 0, 0]])
+        s = QuantumSystem(m, tol=Tolerance(1e-5, 1e-5))
+        with pytest.raises(SearchExhaustedError):
+            find_phase_pair(s)
+        with pytest.raises(SearchExhaustedError):
+            build_witness(s)
 
 
 class TestFindNegativeDetSubset:
