@@ -30,7 +30,7 @@ from .errors import (
 from .functional import Tolerance, check_axioms, check_quantal_sum_rule
 from .galois import build_probe_system, probe_quadratic_form
 from .gen import KINDS, GenSpec, generate
-from .witness import build_witness
+from .witness import CROSS_CHECK_LIMIT, build_witness
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -184,9 +184,11 @@ def cmd_witness(args) -> int:
     print(f"  predicted: {w.predicted_value:.17g}")
     print(f"  verified:  {w.verified_value:.17g}")
     if w.cross_checked:
-        print(f"  materialized cross-check: {w.cross_check_value:.17g}")
+        print(f"  Kronecker cross-check: {w.cross_check_value:.17g}")
     else:
-        print(f"  materialized cross-check: skipped ({system.n}^{w.k} atoms exceeds limit)")
+        limit = f"2^{CROSS_CHECK_LIMIT.bit_length() - 1}"
+        size = f"{system.n}^{w.k}"
+        print(f"  Kronecker cross-check: skipped ({size} atoms exceeds the {limit} limit)")
     return EXIT_OK
 
 

@@ -108,6 +108,8 @@ def loads(text: str) -> SystemDocument:
         raw = json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:  # malformed JSON, or an integer with too many digits
         raise DocumentError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the parser's recursion limit
+        raise DocumentError("invalid JSON: nesting too deep") from exc
     _require(isinstance(raw, dict), "document must be a JSON object")
     for key in ("name", "atoms", "matrix"):
         _require(key in raw, f"missing required field {key!r}")

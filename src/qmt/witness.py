@@ -7,8 +7,10 @@ explicitly: it locates a disjoint event pair with a non-trivial phase and a
 principal atomic submatrix with negative determinant, picks exponents from
 the cosine sign recipe and the even/odd permutation sums, and verifies the
 predicted negative value by direct summation over the event's product
-components (plus, when small enough, against the materialized Kronecker
-power).
+components.  Up to 2**20 composed atoms the value is cross-checked against
+the operator M^(x k) itself: the embedded event's indicator is evaluated
+under the k-fold Kronecker power by mode products on blocks of at most 64
+atoms, so the power is never materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
 from .classify import Classification, classify
-from .compose import MATERIALIZATION_LIMIT, compose, self_compose
+from .compose import _kron_form, compose, self_compose
 from .errors import (
     AxiomViolationError,
     PreconditionError,
@@ -53,6 +55,10 @@ PAIR_SEARCH_LIMIT = 24
 # permutation blocks), which is algebraically identical.
 ORACLE_PAIR_CAP = 2048
 COMPONENT_LIST_CAP = 65536
+# Largest composed atom count n**k the cross-check evaluates, and the largest
+# Kronecker block it materializes on the way.
+CROSS_CHECK_LIMIT = 1 << 20
+KRON_BLOCK_ATOMS = 64
 
 
 @dataclass(frozen=True)
@@ -268,6 +274,10 @@ class Witness:
     ``factors``), standing for the product event of those factors in slot
     order.  ``components`` is None when the count exceeds the
     materialization cap; the verified value is then computed blockwise.
+    ``cross_checked`` is set when the event's measure was also evaluated
+    against the Kronecker power M^(x k), which needs the components and at
+    most ``cross_check_limit`` (default 2**20) composed atoms;
+    ``cross_check_value`` holds that measure.
     """
 
     case: str
@@ -380,6 +390,11 @@ def _search_case_b(
     subsets = list(
         _neg_det_candidates(s, tol, size_cap=NEG_DET_SIZE_CAP, limit=SUBSET_SEARCH_LIMIT)
     )
+    # Atom measures of each phase pair; they do not depend on the subset.
+    diagonals = [
+        (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
+        for pr in pairs[:PAIR_SEARCH_LIMIT]
+    ]
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
         ee, eo = sums.ee, sums.eo
@@ -392,10 +407,8 @@ def _search_case_b(
         half = math.factorial(m) // 2
         if eo > 0.0:
             ratios.append(ee / eo)
-        for pi, pair in enumerate(pairs[:PAIR_SEARCH_LIMIT]):
+        for pi, (pair, (raa, rbb)) in enumerate(zip(pairs, diagonals)):
             theta = pair.theta
-            raa = max(0.0, quantal_measure(s, pair.first, tol))
-            rbb = max(0.0, quantal_measure(s, pair.second, tol))
             if eo <= 0.0:
                 case = "b_i"
                 _, p_nonneg = cos_sign_pair(theta)
@@ -442,7 +455,7 @@ def build_witness(
     tol: Tolerance = DEFAULT_TOL,
     *,
     q_cap: int = DEFAULT_Q_CAP,
-    cross_check_limit: int = MATERIALIZATION_LIMIT,
+    cross_check_limit: int = CROSS_CHECK_LIMIT,
 ) -> Witness:
     """Construct and verify a negative-measure event for Sys^(x k).
 
@@ -580,15 +593,17 @@ def _materialize_components(
     """Component tuples of factor ids: prefix then q permutation blocks.
 
     Factor id 0 is the first phase event, 1 the second, 2..m+1 the
-    negative-determinant atoms in subset order.
+    negative-determinant atoms in subset order.  The even prefix comes
+    first; within a prefix the blocks run in ``itertools.product`` order.
     """
-    out = []
+    parts = []
     for prefix_id, perms in ((0, even), (1, odd)):
-        prefix = (prefix_id,) * p
-        for choice in itertools.product(perms, repeat=q):
-            tail = tuple(2 + pi_i for pi in choice for pi_i in pi)
-            out.append(prefix + tail)
-    return tuple(out)
+        h = len(perms)
+        # Row r of `choice` is the r-th q-tuple of block indices in product order.
+        choice = np.indices((h,) * q).reshape(q, -1).T
+        tail = (2 + np.array(perms, dtype=np.intp))[choice].reshape(h**q, q * m)
+        parts.append(np.hstack([np.full((h**q, p), prefix_id, dtype=np.intp), tail]))
+    return tuple(map(tuple, np.vstack(parts).tolist()))
 
 
 def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
@@ -608,30 +623,43 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
     return paa * ee_c**q + pbb * oo_c**q + pab * eo_c**q + pba * oe_c**q
 
 
-def _materialized_value(
-    s: QuantumSystem,
-    factors: Sequence[Event],
-    components: Sequence[tuple[int, ...]],
-    k: int,
-    tol: Tolerance,
-) -> float:
-    """Measure of the embedded event on the materialized Kronecker power."""
-    power = self_compose(s, k, tol)
-    n = s.n
-    bits = 0
-    for comp in components:
-        partial = [0]
-        for fid in comp:
-            atoms = factors[fid].indices()
-            partial = [base * n + a for base in partial for a in atoms]
-        for idx in partial:
-            bits |= 1 << idx
-    event = Event(bits, n**k)
-    return quantal_measure(power, event, tol)
+def _kronecker_value(s: QuantumSystem, w: Witness, tol: Tolerance) -> float:
+    """Measure of the embedded event under M^(x k), by blocked mode products.
+
+    The k factors are grouped into blocks self_compose(s, j), j the largest
+    power with n**j <= KRON_BLOCK_ATOMS, plus one block of the k mod j left
+    over; ``_kron_form`` applies them to the event's indicator reshaped to
+    the blocks' dimensions.  Blocks amortise the per-axis overhead that k
+    separate n x n products would pay, while memory stays O(n**k).
+    """
+    n, k = s.n, w.k
+    j = 1
+    while j < k and n ** (j + 1) <= KRON_BLOCK_ATOMS:
+        j += 1
+    blocks = [self_compose(s, j, tol).matrix] * (k // j)
+    if k % j:
+        blocks.append(self_compose(s, k % j, tol).matrix)
+    atoms = np.array(w.component_atom_tuples(), dtype=np.intp)
+    v = np.zeros(n**k)
+    v[np.ravel_multi_index(tuple(atoms.T), (n,) * k)] = 1.0
+    z = _kron_form(blocks, v, v)
+    # The Frobenius norm of M^(x k) is |M|**k, so this is the slack
+    # quantal_measure would allow on the materialized power.
+    if abs(z.imag) > tol.eps_abs + tol.eps_rel * float(np.linalg.norm(s.matrix)) ** k:
+        raise AxiomViolationError(
+            f"measure of the witness event has imaginary residue {z.imag:.3e}; "
+            "input not Hermitian"
+        )
+    return z.real
 
 
 def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int) -> Witness:
-    """Check the verified value, then cross-check it when s.n**k fits the limit."""
+    """Check the verified value, then cross-check it when s.n**k fits the limit.
+
+    The cross-check evaluates the embedded event against the operator, not
+    the component factorisation, so it stays independent of the double sum
+    that produced the verified value.
+    """
     slack = tol.eps_abs + tol.eps_rel * max(1.0, abs(w.predicted_value))
     if abs(w.predicted_value - w.verified_value) > slack:
         raise QmtError(
@@ -644,11 +672,11 @@ def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int
         )
     if w.components is None or s.n**w.k > cross_check_limit:
         return w
-    cross_value = _materialized_value(s, w.factors, w.components, w.k, tol)
+    cross_value = _kronecker_value(s, w, tol)
     gap = abs(cross_value - w.verified_value)
     if gap > tol.eps_abs + tol.eps_rel * max(1.0, abs(w.verified_value)):
         raise QmtError(
-            f"materialized cross-check {cross_value:.12e} disagrees "
+            f"Kronecker cross-check {cross_value:.12e} disagrees "
             f"with the component sum {w.verified_value:.12e}"
         )
     return replace(w, cross_checked=True, cross_check_value=cross_value)

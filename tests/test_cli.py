@@ -79,6 +79,13 @@ class TestClassifyCommand:
         assert code == 2
         assert "error" in err
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        code, _, err = run(["classify", str(deep)], capsys)
+        assert code == 2
+        assert err == "error: invalid JSON: nesting too deep\n"
+
     def test_axiom_failure_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -143,6 +150,7 @@ class TestWitnessCommand:
         assert code == 0
         assert "case: b_iii" in out
         assert "verified:" in out
+        assert "Kronecker cross-check: skipped (2^38 atoms exceeds the 2^20 limit)\n" in out
 
     def test_witness_json(self, doc_path, capsys):
         code, out, _ = run(["witness", "--json", doc_path("weak_only")], capsys)

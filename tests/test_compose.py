@@ -13,6 +13,7 @@ from qmt import (
     rectangle_cover,
     self_compose,
 )
+from qmt.compose import _kron_form
 from qmt.errors import BruteForceLimitError
 
 from conftest import random_hermitian_system
@@ -177,3 +178,26 @@ class TestMarginalCheck:
         b = ev([3, 5], n)
         value = marginal_check(s, s, a, b)
         assert value == pytest.approx(eval_D(s, a, b), abs=1e-12)
+
+    def test_dense_factors_beyond_materialization(self):
+        # 64*65 = 4160 composed atoms with dense complex factors
+        rng = np.random.default_rng(31)
+        s1 = random_hermitian_system(rng, 64)
+        s2 = random_hermitian_system(rng, 65)
+        a = ev(rng.choice(64, size=20, replace=False).tolist(), 64)
+        b = ev(rng.choice(64, size=33, replace=False).tolist(), 64)
+        value = marginal_check(s1, s2, a, b)
+        assert value == pytest.approx(eval_D(s1, a, b), rel=1e-9, abs=1e-12)
+
+
+class TestKronForm:
+    def test_matches_materialized_product(self):
+        # rectangular, non-symmetric blocks and x != y catch a transposed
+        # block or a reversed axis order, which Hermitian x^T M x would hide
+        rng = np.random.default_rng(5)
+        shapes = [(2, 3), (4, 1), (3, 5)]
+        blocks = [rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes]
+        full = np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
+        x = rng.standard_normal(full.shape[0])
+        y = rng.standard_normal(full.shape[1])
+        assert _kron_form(blocks, x, y) == pytest.approx(x @ full @ y, rel=1e-12)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,10 +17,19 @@ from qmt import (
     find_phase_pair,
     generate,
     perm_sums,
+    quantal_measure,
+    self_compose,
     tensor_closed_probe,
 )
 from qmt.errors import PreconditionError, QCapError, SearchExhaustedError
-from qmt.witness import VALUE_FLOOR, _perm_block_sums, polar
+from qmt.witness import (
+    CROSS_CHECK_LIMIT,
+    VALUE_FLOOR,
+    _materialize_components,
+    _perm_block_sums,
+    _permutations_by_parity,
+    polar,
+)
 
 from conftest import gen_posentry_not_strong, gen_strong_not_posentry
 
@@ -326,6 +336,49 @@ class TestBuildWitness:
             bits |= 1 << idx
         e = Event(bits, s.n**w.k)
         assert eval_D(power, e, e).real == pytest.approx(w.verified_value, abs=1e-12)
+
+    def test_kronecker_cross_check_matches_materialized_power(self):
+        # every acceptance witness small enough to materialize: the blocked
+        # mode-product value equals the measure on the explicit power
+        checked = 0
+        for atoms in (2, 3):
+            for seed in range(100):
+                s = generate(GenSpec("weak_not_strong_not_posentry", atoms, seed))
+                w = build_witness(s)
+                if s.n**w.k > 4096:
+                    continue
+                assert w.cross_checked, (atoms, seed)
+                flat = []
+                for comp in w.component_atom_tuples():
+                    idx = 0
+                    for atom in comp:
+                        idx = idx * s.n + atom
+                    flat.append(idx)
+                event = Event.from_indices(flat, s.n**w.k)
+                reference = quantal_measure(self_compose(s, w.k), event)
+                assert w.cross_check_value == pytest.approx(reference, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked == 171
+
+    def test_cross_check_beyond_materialization(self):
+        # 3**8 = 6561 composed atoms: past the 4096-atom materialization limit,
+        # inside the Kronecker cross-check's
+        s = generate(GenSpec("weak_not_strong_not_posentry", 3, 15))
+        w = build_witness(s)
+        assert 4096 < s.n**w.k == 3**8 <= CROSS_CHECK_LIMIT
+        assert w.cross_checked
+        assert w.cross_check_value == pytest.approx(w.verified_value, rel=1e-9)
+        assert not build_witness(s, cross_check_limit=4096).cross_checked
+
+    @pytest.mark.parametrize("p, q, m", [(1, 1, 2), (3, 2, 3), (2, 3, 3), (1, 2, 4)])
+    def test_components_match_product_order(self, p, q, m):
+        even, odd = _permutations_by_parity(m)
+        expected = tuple(
+            (prefix_id,) * p + tuple(2 + i for perm in choice for i in perm)
+            for prefix_id, perms in ((0, even), (1, odd))
+            for choice in itertools.product(perms, repeat=q)
+        )
+        assert _materialize_components(p, q, m, even, odd) == expected
 
 
 class TestTensorClosedProbe:
