@@ -10,6 +10,7 @@ on the same convention.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -37,7 +38,7 @@ class Event:
     @classmethod
     def from_indices(cls, indices: Iterable[int], arity: int) -> "Event":
         bits = 0
-        for i in indices:
+        for i in map(operator.index, indices):
             if not 0 <= i < arity:
                 raise ValueError(f"atom index {i} out of range for arity {arity}")
             bits |= 1 << i
@@ -122,10 +123,6 @@ class ProductRectangle:
 
     first: Event
     second: Event
-
-
-def pair_index(i: int, j: int, n2: int) -> int:
-    return i * n2 + j
 
 
 def unpair_index(p: int, n2: int) -> tuple[int, int]:

@@ -137,12 +137,7 @@ class Classification:
         }
 
 
-def classify(
-    s: QuantumSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    weak_limit: int = ENUMERATION_LIMIT,
-) -> Classification:
+def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Run every membership test and enforce the class hierarchy.
 
     The hierarchy (strong => weak, classical => positive-entry and strong,
@@ -150,7 +145,7 @@ def classify(
     a violation would signal an internal inconsistency, not a property of
     the input.
     """
-    weak = is_weakly_positive(s, tol, limit=weak_limit)
+    weak = is_weakly_positive(s, tol)
     strong = is_strongly_positive(s, tol)
     entry = is_positive_entry(s, tol)
     classical = is_classical(s, tol)

@@ -1,11 +1,12 @@
-"""Tensor composition of systems and factored evaluation of the result.
+"""Tensor composition of systems and evaluation of the result.
 
 Composition is defined through atomic matrices: the composed system's
 atomic matrix is the Kronecker product of the factor matrices, under the
-global pair-index convention (i, j) -> i*n2 + j.  The equivalent
-double-sum evaluation over rectangle decompositions is provided as an
-independent route and cross-check, and ``_kron_form`` evaluates bilinear
-forms of a Kronecker product without forming it.
+global pair-index convention (i, j) -> i*n2 + j.  ``_kron_form`` evaluates
+every composed value the package needs by mode products on the factors,
+without forming the product; the rectangle double sum
+``eval_composed_factored`` is the paper's product rule, kept as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
 from .errors import ArityMismatchError, BruteForceLimitError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, eval_D
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators, eval_D
 
 # Largest composed atom count materialized as an explicit matrix.
 MATERIALIZATION_LIMIT = 4096
@@ -26,22 +27,17 @@ def composed_labels(s1: QuantumSystem, s2: QuantumSystem) -> tuple[str, ...]:
     return tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
 
 
-def compose(
-    s1: QuantumSystem,
-    s2: QuantumSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    limit: int = MATERIALIZATION_LIMIT,
-) -> QuantumSystem:
+def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
     """Kronecker-compose two systems into one of arity n1*n2.
 
     Hermiticity and normalisation hold by construction (the entry sum of a
     Kronecker product is the product of the entry sums); the constructor
     re-checks both.
     """
-    if s1.n * s2.n > limit:
+    if s1.n * s2.n > MATERIALIZATION_LIMIT:
         raise BruteForceLimitError(
-            f"composed arity {s1.n * s2.n} exceeds materialization limit {limit}"
+            f"composed arity {s1.n * s2.n} exceeds materialization limit "
+            f"{MATERIALIZATION_LIMIT}"
         )
     matrix = np.kron(s1.matrix, s2.matrix)
     meta = {"composed_of": [s1.metadata.get("name", "?"), s2.metadata.get("name", "?")],
@@ -49,24 +45,18 @@ def compose(
     return QuantumSystem(matrix, composed_labels(s1, s2), tol=tol, metadata=meta)
 
 
-def self_compose(
-    s: QuantumSystem,
-    k: int,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    limit: int = MATERIALIZATION_LIMIT,
-) -> QuantumSystem:
+def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
     """k-fold Kronecker power of a system."""
     if k < 1:
         raise ValueError(f"power k must be >= 1, got {k}")
-    if s.n**k > limit:
+    if s.n**k > MATERIALIZATION_LIMIT:
         raise BruteForceLimitError(
-            f"arity {s.n}**{k} exceeds materialization limit {limit}; "
+            f"arity {s.n}**{k} exceeds materialization limit {MATERIALIZATION_LIMIT}; "
             "use factored evaluation instead"
         )
     out = s
     for _ in range(k - 1):
-        out = compose(out, s, tol, limit=limit)
+        out = compose(out, s, tol)
     return out
 
 
@@ -121,31 +111,17 @@ def _kron_form(blocks: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> co
     return complex(np.dot(x, t.reshape(-1)))
 
 
-def _indicator(e: Event) -> np.ndarray:
-    v = np.zeros(e.arity)
-    v[list(e.indices())] = 1.0
-    return v
-
-
-def marginal_check(
-    s1: QuantumSystem,
-    s2: QuantumSystem,
-    a: Event,
-    b: Event,
-    tol: Tolerance = DEFAULT_TOL,
-) -> complex:
+def marginal_check(s1: QuantumSystem, s2: QuantumSystem, a: Event, b: Event) -> complex:
     """Composed value on the padded pair (a x Omega_2, b x Omega_2).
 
     Contract: equals D1(a, b), since the second factor contributes its full
     normalisation.  Evaluated as the bilinear form of the embedded events'
     indicators under the composed operator M1 (x) M2, by mode products
     (``_kron_form``), so the identity is a genuine check rather than a
-    restatement and no n1*n2 matrix is formed at any size.  ``tol`` is
-    kept for compatibility: no system is built, so nothing is validated.
+    restatement and no n1*n2 matrix is formed at any size.
     """
     if a.arity != s1.n or b.arity != s1.n:
         raise ArityMismatchError("marginal events must belong to the first factor")
     full2 = Event.full(s2.n)
-    ea = embed_product(ProductRectangle(a, full2))
-    eb = embed_product(ProductRectangle(b, full2))
-    return _kron_form([s1.matrix, s2.matrix], _indicator(ea), _indicator(eb))
+    x, y = _indicators([embed_product(ProductRectangle(e, full2)) for e in (a, b)], s1.n * s2.n)
+    return _kron_form([s1.matrix, s2.matrix], x, y)

@@ -25,6 +25,8 @@ from .errors import (
 )
 
 MEASURE_TABLE_LIMIT = 16
+# Events per block of the vectorized 2**n sweep.
+SWEEP_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -120,19 +122,27 @@ def eval_D(s: QuantumSystem, a: Event, b: Event) -> complex:
     return complex(s.matrix[np.ix_(rows, cols)].sum())
 
 
+def _indicators(events: Sequence[Event], n: int) -> np.ndarray:
+    """0/1 matrix with one row per event: row i is the indicator of events[i]."""
+    out = np.empty((len(events), n))
+    for row, e in zip(out, events):
+        if e.arity != n:
+            raise ArityMismatchError(f"event arity {e.arity} != {n}")
+        packed = np.frombuffer(e.bits.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        row[:] = np.unpackbits(packed, count=n, bitorder="little")
+    return out
+
+
 def event_matrix(s: QuantumSystem, events: Sequence[Event]) -> np.ndarray:
-    """Hermitian matrix of functional values over a list of distinct events."""
+    """Hermitian matrix of functional values over a list of distinct events.
+
+    Entry (i, j) is D(events[i], events[j]); with V the events' indicator
+    rows, the whole matrix is V M V^T.
+    """
     if len(set(events)) != len(events):
         raise ValueError("events must be distinct")
-    k = len(events)
-    out = np.zeros((k, k), dtype=complex)
-    for i, a in enumerate(events):
-        for j, b in enumerate(events):
-            if j < i:
-                out[i, j] = np.conj(out[j, i])
-            else:
-                out[i, j] = eval_D(s, a, b)
-    return out
+    v = _indicators(events, s.n)
+    return v @ s.matrix @ v.T
 
 
 def quantal_measure(s: QuantumSystem, a: Event, tol: Tolerance = DEFAULT_TOL) -> float:
@@ -145,7 +155,7 @@ def quantal_measure(s: QuantumSystem, a: Event, tol: Tolerance = DEFAULT_TOL) ->
     return z.real
 
 
-def event_measures(matrix: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
+def event_measures(matrix: np.ndarray) -> np.ndarray:
     """Measures of all 2**n events, indexed by bitmask, in one vectorized sweep.
 
     Each mask is expanded to a 0/1 indicator vector v and evaluated as the
@@ -158,8 +168,8 @@ def event_measures(matrix: np.ndarray, chunk: int = 1 << 14) -> np.ndarray:
     total = 1 << n
     out = np.empty(total, dtype=float)
     shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+    for start in range(0, total, SWEEP_CHUNK):
+        masks = np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.uint64)
         v = (masks[:, None] >> shifts[None, :] & 1).astype(float)
         out[start : start + len(masks)] = ((v @ matrix) * v).sum(axis=1).real
     return out
@@ -222,19 +232,18 @@ def check_axioms(
     tol: Tolerance = DEFAULT_TOL,
     *,
     check_weak: bool = True,
-    weak_limit: int = ENUMERATION_LIMIT,
 ) -> AxiomReport:
     """Check the functional axioms on a raw matrix or a constructed system.
 
     Hermiticity and normalisation are tested numerically.  Additivity holds
     by construction in the atomic representation, so it is reported as such
     rather than re-tested.  The weak-positivity sweep is optional and only
-    runs when 2**n is within ``weak_limit``.
+    runs when n is within ``ENUMERATION_LIMIT``.
     """
     m, report = _matrix_axioms(
         matrix.matrix if isinstance(matrix, QuantumSystem) else matrix, tol
     )
-    if not (check_weak and report.hermitian and m.shape[0] <= weak_limit):
+    if not (check_weak and report.hermitian and m.shape[0] <= ENUMERATION_LIMIT):
         return report
     violation = first_weak_violation(m, tol.scaled(m))
     if violation is None:
@@ -243,34 +252,30 @@ def check_axioms(
     return replace(report, weakly_positive=False, weak_violation=event, weak_violation_value=value)
 
 
-def _sum_rule_residuals(values: np.ndarray, n: int):
-    """Yield (alpha, beta, gamma, residual) over all pairwise-disjoint triples.
+def _sum_rule_residuals(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """(alpha, beta, gamma, residual) arrays over all pairwise-disjoint triples.
 
-    Triples are enumerated by assigning each atom to one of four buckets
-    (alpha, beta, gamma, unused), 4**n assignments in total.
+    Triple t assigns atom i to bucket (t >> 2i) & 3 (unused, alpha, beta,
+    gamma), 4**n assignments in total, in ascending t.  Codes and masks use
+    the smallest unsigned dtype that holds them, which keeps the transient
+    arrays near 2 MB at n = 8.
     """
-    for assign in range(4**n):
-        a = b = c = 0
-        code = assign
-        for atom in range(n):
-            bucket = code & 3
-            code >>= 2
-            if bucket == 1:
-                a |= 1 << atom
-            elif bucket == 2:
-                b |= 1 << atom
-            elif bucket == 3:
-                c |= 1 << atom
-        residual = (
-            values[a | b | c]
-            - values[a | b]
-            - values[b | c]
-            - values[a | c]
-            + values[a]
-            + values[b]
-            + values[c]
-        )
-        yield a, b, c, residual
+    codes = np.arange(4**n, dtype=np.min_scalar_type(4**n - 1))
+    a, b, c = (np.zeros(codes.size, dtype=np.min_scalar_type((1 << n) - 1)) for _ in range(3))
+    for atom in range(n):
+        bucket = codes >> 2 * atom & 3
+        for k, mask in enumerate((a, b, c), 1):
+            mask[bucket == k] |= 1 << atom
+    residual = (
+        values[a | b | c]
+        - values[a | b]
+        - values[b | c]
+        - values[a | c]
+        + values[a]
+        + values[b]
+        + values[c]
+    )
+    return a, b, c, residual
 
 
 @dataclass(frozen=True)
@@ -300,20 +305,16 @@ def check_quantal_sum_rule(
     n = s.n
     if n > exhaustive_limit:
         return SumRuleReport(passed=True, max_residual=0.0, exhaustive=False, worst_triple=None)
-    slack = tol.scaled(s.matrix)
-    worst = 0.0
-    worst_triple = None
-    for a, b, c, residual in _sum_rule_residuals(event_measures(s.matrix), n):
-        r = abs(residual)
-        if r > worst:
-            worst = r
-            worst_triple = (Event(a, n), Event(b, n), Event(c, n))
-    passed = worst <= slack
+    a, b, c, residual = _sum_rule_residuals(event_measures(s.matrix), n)
+    r = np.abs(residual)
+    i = int(r.argmax())
+    worst = float(r[i])
+    passed = worst <= tol.scaled(s.matrix)
     return SumRuleReport(
         passed=passed,
         max_residual=worst,
         exhaustive=True,
-        worst_triple=None if passed else worst_triple,
+        worst_triple=None if passed else tuple(Event(int(m[i]), n) for m in (a, b, c)),
     )
 
 
@@ -356,12 +357,14 @@ class MeasureTable:
         if abs(self.values[-1] - 1.0) > eps:
             raise SumRuleViolationError(f"full event has measure {self.values[-1]:.6g}")
         if self.n <= 8:
-            for a, b, c, residual in _sum_rule_residuals(self.values, self.n):
-                if abs(residual) > eps:
-                    raise SumRuleViolationError(
-                        f"sum rule residual {residual:.3e} on disjoint triple "
-                        f"({a:#x}, {b:#x}, {c:#x})"
-                    )
+            a, b, c, residual = _sum_rule_residuals(self.values, self.n)
+            bad = np.flatnonzero(np.abs(residual) > eps)
+            if bad.size:
+                i = bad[0]
+                raise SumRuleViolationError(
+                    f"sum rule residual {residual[i]:.3e} on disjoint triple "
+                    f"({int(a[i]):#x}, {int(b[i]):#x}, {int(c[i]):#x})"
+                )
 
 
 def measure_table(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> MeasureTable:

@@ -5,7 +5,10 @@ auxiliary PSD system whose composition with the system under test evaluates
 the quadratic form v^dagger M v / rho on the corresponding event matrix M.
 A negative value certifies that the tested system is not strongly positive
 and, at the same time, exhibits a weak-positivity violation of the composed
-pair, i.e. non-membership in the dual of the strongly positive class.
+pair, i.e. non-membership in the dual of the strongly positive class.  The
+value is the measure of one event of the composed pair, evaluated under the
+Kronecker product of the two atomic matrices by mode products on the
+factors, so the composed system is never formed.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import Event, ProductRectangle
+from .algebra import Event
 from .classify import is_in_dual_of_posentry, is_strongly_positive
-from .compose import eval_composed_factored
+from .compose import _kron_form
 from .errors import AxiomViolationError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators
 
 
 class ProbeSystem(QuantumSystem):
@@ -66,27 +69,24 @@ def probe_quadratic_form(
 ) -> float:
     """Evaluate v^dagger M v / rho through composition with the probe.
 
-    The composed event pairs each listed event A_i with the probe atom p_i;
-    its composed diagonal value collapses to the quadratic form on the event
-    matrix M of ``events``, scaled by 1/rho.  Requires pairwise disjoint
-    events so the union is an event of the composed algebra.
+    The composed event pairs each listed event A_i with the probe atom p_i
+    (pair (a, p_i) sits at a*(m+1) + i for m events); its measure under
+    M_s (x) M_probe, evaluated by mode products, collapses to the quadratic
+    form on the event matrix M of ``events``, scaled by 1/rho.  Requires
+    pairwise disjoint events of the probed system's arity.
     """
     probe = build_probe_system(v, tol)
     if len(events) != probe.n - 1:
         raise ValueError(
             f"vector length {probe.n - 1} does not match {len(events)} events"
         )
-    seen = 0
-    for e in events:
-        if e.arity != s.n:
-            raise ValueError(f"event {e!r} does not belong to the probed system")
-        if seen & e.bits:
-            raise ValueError("probe events must be pairwise disjoint")
-        seen |= e.bits
-    rects = [
-        ProductRectangle(e, probe.atom(i)) for i, e in enumerate(events)
-    ]
-    value = eval_composed_factored(s, probe, rects, rects)
+    rows = _indicators(events, s.n)
+    if (rows.sum(axis=0) > 1).any():
+        raise ValueError("probe events must be pairwise disjoint")
+    x = np.zeros((s.n, probe.n))
+    x[:, : probe.n - 1] = rows.T
+    x = x.reshape(-1)
+    value = _kron_form([s.matrix, probe.matrix], x, x)
     if abs(value.imag) > tol.scaled(s.matrix):
         raise AxiomViolationError(
             f"probe value has imaginary residue {value.imag:.3e}"

@@ -24,6 +24,8 @@ KINDS = (
 )
 
 RNG_ALGORITHM = "philox4x64"
+# Draws per ``generate`` call before giving up on certifying one.
+MAX_RETRIES = 1000
 
 
 @dataclass(frozen=True)
@@ -108,12 +110,7 @@ def _draw_weak_only(rng, n):
     return None
 
 
-def generate(
-    spec: GenSpec,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    max_retries: int = 1000,
-) -> QuantumSystem:
+def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
     """Draw a system of the requested class, certified by ``classify``."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     metadata = {
@@ -123,7 +120,7 @@ def generate(
         "rng": RNG_ALGORITHM,
     }
     n = spec.atoms
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         if spec.kind == "strong":
             matrix = _draw_strong(rng, n)
         elif spec.kind == "posentry":
@@ -140,7 +137,7 @@ def generate(
         if _certified(system, spec.kind, tol):
             return system
     raise SearchExhaustedError(
-        f"could not generate a certified {spec.kind!r} system in {max_retries} tries"
+        f"could not generate a certified {spec.kind!r} system in {MAX_RETRIES} tries"
     )
 
 

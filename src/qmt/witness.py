@@ -23,8 +23,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
-from .classify import Classification, classify
-from .compose import _kron_form, compose, self_compose
+from .classify import classify, is_positive_entry, is_strongly_positive
+from .compose import _kron_form, self_compose
 from .errors import (
     AxiomViolationError,
     PreconditionError,
@@ -36,8 +36,7 @@ from .functional import (
     DEFAULT_TOL,
     QuantumSystem,
     Tolerance,
-    eval_D,
-    event_matrix,
+    _indicators,
     quantal_measure,
 )
 
@@ -214,7 +213,7 @@ class NegDetSubset(NamedTuple):
     det: float
 
 
-def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, *, size_cap: int, limit: int):
+def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     """Yield negative-determinant principal subsets, smallest size first.
 
     Within each size, subsets come in ascending bitmask order.  Small
@@ -226,7 +225,7 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, *, size_cap: int, limi
     n = s.n
     m = s.matrix
     found = 0
-    for size in range(2, min(n, size_cap) + 1):
+    for size in range(2, min(n, NEG_DET_SIZE_CAP) + 1):
         masked = sorted(
             (sum(1 << i for i in combo), combo)
             for combo in itertools.combinations(range(n), size)
@@ -245,24 +244,19 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, *, size_cap: int, limi
     if not found:
         lo = float(np.linalg.eigvalsh(m)[0])
         raise SearchExhaustedError(
-            f"no principal submatrix of size <= {size_cap} has negative determinant "
+            f"no principal submatrix of size <= {NEG_DET_SIZE_CAP} has negative determinant "
             f"(lambda_min = {lo:.3e}); the system is PSD or borderline"
         )
 
 
-def find_negative_det_subset(
-    s: QuantumSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    size_cap: int = NEG_DET_SIZE_CAP,
-) -> NegDetSubset:
+def find_negative_det_subset(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> NegDetSubset:
     """Smallest atom subset whose principal submatrix has negative determinant.
 
     Smallest size first, ties broken by ascending subset bitmask.  A
     Hermitian matrix that is not PSD always has such a subset, though
     possibly larger than the size cap.
     """
-    return next(_neg_det_candidates(s, tol, size_cap=size_cap, limit=1))
+    return next(_neg_det_candidates(s, tol, limit=1))
 
 
 @dataclass(frozen=True)
@@ -309,14 +303,6 @@ class Witness:
                 raise QmtError(f"factor {f!r} is not a single atom")
             atom_of.append(idx[0])
         return tuple(tuple(atom_of[fid] for fid in comp) for comp in self.components)
-
-
-def _factor_values(s: QuantumSystem, factors: Sequence[Event]) -> np.ndarray:
-    out = np.zeros((len(factors), len(factors)), dtype=complex)
-    for i, a in enumerate(factors):
-        for j, b in enumerate(factors):
-            out[i, j] = eval_D(s, a, b)
-    return out
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
@@ -387,9 +373,7 @@ def _search_case_b(
     """
     best = None
     ratios = []
-    subsets = list(
-        _neg_det_candidates(s, tol, size_cap=NEG_DET_SIZE_CAP, limit=SUBSET_SEARCH_LIMIT)
-    )
+    subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
     # Atom measures of each phase pair; they do not depend on the subset.
     diagonals = [
         (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
@@ -495,7 +479,8 @@ def build_witness(
     k = p + m * q
     predicted = plan.predicted
 
-    factors = (pair.first, pair.second) + tuple(s.atom(i) for i in neg.atoms)
+    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+    factors = tuple(s.atom(i) for i in ids)
     even, odd = _permutations_by_parity(m)
     half = len(even)
     count = 2 * half**q
@@ -506,7 +491,8 @@ def build_witness(
         if len(set(components)) != len(components):
             raise QmtError("witness components are not pairwise distinct")
 
-    values = _factor_values(s, factors)
+    # Every factor is one atom, so the factor values are atomic entries.
+    values = s.matrix[np.ix_(ids, ids)]
     if components is not None and count <= ORACLE_PAIR_CAP:
         comps = np.array(components, dtype=np.intp)
         verified_c = _double_sum(values, comps)
@@ -555,7 +541,8 @@ def _case_a(
         )
     factors = (pair.first, pair.second)
     components = ((0,) * k, (1,) * k)
-    values = _factor_values(s, factors)
+    ids = [f.indices()[0] for f in factors]
+    values = s.matrix[np.ix_(ids, ids)]
     verified_c = _double_sum(values, np.array(components, dtype=np.intp))
     verified = verified_c.real
 
@@ -686,8 +673,6 @@ def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int
 class TensorProbeReport:
     """Composition of a positive-entry-only with a strongly-positive-only system."""
 
-    composed: QuantumSystem
-    classification: Classification
     padded_event_matrix: np.ndarray
     padded_min_eigenvalue: float
     entry_pair: tuple[Event, Event]
@@ -705,35 +690,39 @@ def tensor_closed_probe(
     first factor's atomic matrix, so its negative eigenvalue rules out
     strong positivity of the composition; the padded pair Omega_1 x {i},
     Omega_1 x {j} reproduces the second factor's violating entry, ruling
-    out the positive-entry property.
+    out the positive-entry property.  Both are bilinear forms of the
+    composed operator M1 (x) M2, evaluated by mode products on the factors,
+    so the composition is never formed and no size limit applies beyond
+    the factors' own eigendecompositions.
     """
-    c1 = classify(s1, tol)
-    if not (c1.positive_entry and not c1.strongly_positive):
+    if not is_positive_entry(s1, tol).ok or is_strongly_positive(s1, tol).ok:
         raise PreconditionError("first system must be positive-entry and not strongly positive")
-    c2 = classify(s2, tol)
-    if not (c2.strongly_positive and not c2.positive_entry):
+    entry2 = is_positive_entry(s2, tol)
+    if entry2.ok or not is_strongly_positive(s2, tol).ok:
         raise PreconditionError("second system must be strongly positive and not positive-entry")
 
-    composed = compose(s1, s2, tol)
-    full2 = Event.full(s2.n)
+    blocks = [s1.matrix, s2.matrix]
+    n = s1.n * s2.n
+    full1, full2 = Event.full(s1.n), Event.full(s2.n)
     padded = [embed_product(ProductRectangle(s1.atom(i), full2)) for i in range(s1.n)]
-    pmat = event_matrix(composed, padded)
+    rows = _indicators(padded, n)
+    pmat = np.array([[_kron_form(blocks, x, y) for y in rows] for x in rows])
     lo = float(np.linalg.eigvalsh(pmat)[0])
 
-    i, j = c2.entry_violation
-    full1 = Event.full(s1.n)
+    i, j = entry2.index
     pa = embed_product(ProductRectangle(full1, s2.atom(i)))
     pb = embed_product(ProductRectangle(full1, s2.atom(j)))
-    entry_value = eval_D(composed, pa, pb)
+    entry_value = _kron_form(blocks, *_indicators([pa, pb], n))
 
-    result = classify(composed, tol)
-    if result.strongly_positive or result.positive_entry:
+    # The slack classify would allow on the composed matrix, whose Frobenius
+    # norm is the product of the factors' norms.
+    norm = float(np.linalg.norm(s1.matrix) * np.linalg.norm(s2.matrix))
+    slack = tol.eps_abs + tol.eps_rel * norm
+    if not (lo < -slack and (abs(entry_value.imag) > slack or entry_value.real < -slack)):
         raise QmtError("composed system unexpectedly fell back into S or P")
     return TensorProbeReport(
-        composed=composed,
-        classification=result,
         padded_event_matrix=pmat,
         padded_min_eigenvalue=lo,
         entry_pair=(pa, pb),
-        entry_value=complex(entry_value),
+        entry_value=entry_value,
     )

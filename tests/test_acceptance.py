@@ -183,8 +183,9 @@ def test_p_or_s_embedding():
         s1 = gen_posentry_not_strong(2 + seed % 2, seed)
         s2 = gen_strong_not_posentry(2 + (seed + 1) % 2, seed)
         report = tensor_closed_probe(s1, s2)
-        assert not report.classification.strongly_positive, seed
-        assert not report.classification.positive_entry, seed
+        c = classify(compose(s1, s2))
+        assert not c.strongly_positive, seed
+        assert not c.positive_entry, seed
         assert report.padded_min_eigenvalue < 0, seed
     print("\nACCEPTANCE PASS: P-or-S embedding (50 pairs, zero violations)")
 

@@ -45,6 +45,13 @@ class TestEvent:
         with pytest.raises(ArityMismatchError):
             ev([0], 2) | ev([0], 3)
 
+    def test_numpy_integer_indices(self):
+        # a fixed-width shift would wrap at 64 and overflow the sign bit at 63
+        assert Event.from_indices([np.int64(70)], 100) == ev([70], 100)
+        assert Event.from_indices(np.array([63, 2]), 100) == ev([2, 63], 100)
+        with pytest.raises(TypeError):
+            Event.from_indices([1.0], 3)
+
     def test_complement_of_complement(self):
         e = ev([1], 4)
         assert e.complement().complement() == e

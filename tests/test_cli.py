@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,11 +322,16 @@ class TestErrorExits:
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         path = tmp_path / "c.json"
+        # the child imports the same qmt as this process, installed or not
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "qmt.cli", "gen", "--kind", "classical",
              "--atoms", "2", "--seed", "1", "-o", str(path)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert path.exists()

@@ -114,7 +114,10 @@ class TestFactoredEvaluation:
                 cover_a = rectangle_cover(e_a, n1, n2, strategy)
                 cover_b = rectangle_cover(e_b, n1, n2, strategy)
                 values.append(eval_composed_factored(s1, s2, cover_a, cover_b))
+            x, y = (np.array([p in e for p in range(n1 * n2)], dtype=float) for e in (e_a, e_b))
+            kron = _kron_form([s1.matrix, s2.matrix], x, y)
             assert values[0] == pytest.approx(values[1], abs=1e-12)
+            assert values[0] == pytest.approx(kron, abs=1e-12)
             assert values[0] == pytest.approx(eval_D(composed, e_a, e_b), abs=1e-12)
 
 

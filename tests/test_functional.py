@@ -134,6 +134,10 @@ class TestEventMatrix:
         with pytest.raises(ValueError):
             event_matrix(n_system, [ev([0]), ev([0])])
 
+    def test_arity_mismatch(self, n_system):
+        with pytest.raises(ArityMismatchError):
+            event_matrix(n_system, [ev([0]), Event.full(3)])
+
 
 class TestQuantalMeasure:
     def test_full_event_is_one(self, m_system):

@@ -88,6 +88,15 @@ class TestProbeQuadraticForm:
             direct = (v.conj() @ m1 @ v).real / rho
             assert probe_quadratic_form(s, events, v) == pytest.approx(direct, abs=1e-10)
 
+    def test_sixty_four_atoms(self):
+        # the composed event lives on 64 * 65 atoms
+        rng = np.random.default_rng(59)
+        s = random_hermitian_system(rng, 64)
+        v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        rho = 1.0 + abs(v.sum()) ** 2
+        direct = (v.conj() @ s.matrix @ v).real / rho
+        assert probe_quadratic_form(s, s.atoms(), v) == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
     def test_rejects_overlapping_events(self, n_system):
         overlapping = [Event.from_indices([0], 2), Event.from_indices([0, 1], 2)]
         with pytest.raises(ValueError):

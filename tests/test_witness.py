@@ -10,6 +10,8 @@ from qmt import (
     QuantumSystem,
     Tolerance,
     build_witness,
+    classify,
+    compose,
     cos_sign_pair,
     det_identity_residual,
     eval_D,
@@ -384,7 +386,7 @@ class TestBuildWitness:
 class TestTensorClosedProbe:
     def test_posentry_with_strong(self, n_system, half_i_system):
         report = tensor_closed_probe(n_system, half_i_system)
-        c = report.classification
+        c = classify(compose(n_system, half_i_system))
         assert not c.strongly_positive
         assert not c.positive_entry
         assert report.padded_min_eigenvalue < 0
@@ -394,12 +396,23 @@ class TestTensorClosedProbe:
         assert report.entry_value == pytest.approx(half_i_system.matrix[0, 1])
 
     def test_reference_pair_leaves_weak(self, n_system, m_system):
-        report = tensor_closed_probe(n_system, m_system)
-        c = report.classification
+        tensor_closed_probe(n_system, m_system)
+        c = classify(compose(n_system, m_system))
         assert not c.strongly_positive
         assert not c.positive_entry
         assert not c.weakly_positive
         assert c.weak_violation_value < 0
+
+    def test_six_by_six_atoms(self):
+        # 36 composed atoms: classifying the composition would need a weak
+        # sweep past its 20-atom limit
+        s1 = gen_posentry_not_strong(6, 3)
+        s2 = gen_strong_not_posentry(6, 4)
+        report = tensor_closed_probe(s1, s2)
+        assert np.abs(report.padded_event_matrix - s1.matrix).max() <= 1e-12
+        assert report.padded_min_eigenvalue < 0
+        i, j = classify(s2).entry_violation
+        assert report.entry_value == pytest.approx(s2.matrix[i, j], abs=1e-12)
 
     def test_precondition_errors(self, m_system, n_system):
         with pytest.raises(PreconditionError):
@@ -412,5 +425,7 @@ class TestTensorClosedProbe:
             s1 = gen_posentry_not_strong(2 + seed % 2, seed)
             s2 = gen_strong_not_posentry(2 + (seed + 1) % 2, seed)
             report = tensor_closed_probe(s1, s2)
-            assert not report.classification.strongly_positive
-            assert not report.classification.positive_entry
+            c = classify(compose(s1, s2))
+            assert not c.strongly_positive
+            assert not c.positive_entry
+            assert report.padded_min_eigenvalue < 0
