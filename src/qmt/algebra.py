@@ -125,10 +125,6 @@ class ProductRectangle:
     second: Event
 
 
-def unpair_index(p: int, n2: int) -> tuple[int, int]:
-    return divmod(p, n2)
-
-
 def embed_product(rect: ProductRectangle) -> Event:
     """Flatten a product rectangle into an event of the composed space.
 
@@ -158,7 +154,7 @@ def rectangle_cover(
     if strategy == "atoms":
         out = []
         for p in e.indices():
-            i, j = unpair_index(p, n2)
+            i, j = divmod(p, n2)
             out.append(
                 ProductRectangle(Event(1 << i, n1), Event(1 << j, n2))
             )

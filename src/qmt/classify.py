@@ -7,6 +7,10 @@ positive entry (all atomic values real and non-negative), classical
 (diagonal atomic matrix), and the dual-of-positive-entry condition (real
 parts non-negative).  Borderline values within tolerance count as members:
 the classes are closed sets.
+
+S => W and P => W are theorems, so ``classify`` sweeps the 2**n events
+only for a system in neither S nor P; only such a system above
+``ENUMERATION_LIMIT`` atoms raises ``BruteForceLimitError``.
 """
 
 from __future__ import annotations
@@ -48,10 +52,8 @@ def is_weakly_positive(
     """Sweep all 2**n events; the witness is the first violator by bitmask."""
     if s.n > limit:
         raise BruteForceLimitError(f"weak positivity sweep needs n <= {limit}, got {s.n}")
-    violation = first_weak_violation(s.matrix, tol.scaled(s.matrix))
-    if violation is None:
-        return WeakResult(True, None, None)
-    return WeakResult(False, *violation)
+    event, value = first_weak_violation(s.matrix, tol.scaled(s.matrix)) or (None, None)
+    return WeakResult(event is None, event, value)
 
 
 def is_strongly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> StrongResult:
@@ -138,19 +140,18 @@ class Classification:
 
 
 def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
-    """Run every membership test and enforce the class hierarchy.
+    """Run every membership test; the class hierarchy holds by construction.
 
-    The hierarchy (strong => weak, classical => positive-entry and strong,
-    positive-entry => dual membership) is asserted on the computed flags;
-    a violation would signal an internal inconsistency, not a property of
-    the input.
+    S and P are tested first.  When either holds, W follows by theorem and
+    is reported with no sweep and no violation; otherwise
+    ``is_weakly_positive`` sweeps, and raises above ``ENUMERATION_LIMIT``.
+    Classical also requires S, and one slack makes classical => P => dual(P).
     """
-    weak = is_weakly_positive(s, tol)
     strong = is_strongly_positive(s, tol)
     entry = is_positive_entry(s, tol)
-    classical = is_classical(s, tol)
+    weak = WeakResult(True, None, None) if strong.ok or entry.ok else is_weakly_positive(s, tol)
     dual = is_in_dual_of_posentry(s, tol)
-    result = Classification(
+    return Classification(
         weakly_positive=weak.ok,
         weak_violation=weak.violation,
         weak_violation_value=weak.value,
@@ -159,19 +160,8 @@ def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
         min_eigenvector=strong.eigenvector,
         positive_entry=entry.ok,
         entry_violation=entry.index,
-        classical=classical,
+        classical=is_classical(s, tol) and strong.ok,
         in_dual_of_posentry=dual.ok,
         dual_violation=dual.index,
         real_symmetric=is_real_symmetric(s, tol),
     )
-    if result.strongly_positive and not result.weakly_positive:
-        raise QmtError(
-            "inconsistent classification: strongly positive but a negative-measure "
-            f"event was found (lambda_min={result.min_eigenvalue:.3e}, "
-            f"event value={result.weak_violation_value:.3e})"
-        )
-    if result.classical and not (result.positive_entry and result.strongly_positive):
-        raise QmtError("inconsistent classification: classical outside P or S")
-    if result.positive_entry and not result.in_dual_of_posentry:
-        raise QmtError("inconsistent classification: positive entry outside dual(P)")
-    return result

@@ -62,11 +62,6 @@ def _flag(value: bool) -> str:
     return "yes" if value else "no"
 
 
-def _event_labels(event, labels) -> str:
-    names = [labels[i] for i in event.indices()]
-    return "{" + ", ".join(names) + "}"
-
-
 def cmd_classify(args) -> int:
     tol = args.tol
     doc, system = _load_system(args.path, tol)
@@ -91,10 +86,8 @@ def cmd_classify(args) -> int:
     print(f"system: {doc.name}  (atoms: {system.n})")
     weak_note = ""
     if not result.weakly_positive:
-        weak_note = (
-            f"  (event {_event_labels(result.weak_violation, system.labels)}"
-            f" has measure {result.weak_violation_value:.9g})"
-        )
+        names = ", ".join(system.labels[i] for i in result.weak_violation.indices())
+        weak_note = f"  (event {{{names}}} has measure {result.weak_violation_value:.9g})"
     print(f"  weakly positive:    {_flag(result.weakly_positive)}{weak_note}")
     print(
         f"  strongly positive:  {_flag(result.strongly_positive)}"
@@ -131,11 +124,8 @@ def cmd_witness(args) -> int:
     w = build_witness(system, tol, q_cap=args.qmax)
     labels = system.labels
 
-    def factor_name(fid):
-        idx = w.factors[fid].indices()
-        if len(idx) == 1:
-            return labels[idx[0]]
-        return _event_labels(w.factors[fid], labels)
+    def factor_name(fid):  # every witness factor is a single atom
+        return labels[w.factors[fid].indices()[0]]
 
     if args.json:
         payload = {
@@ -211,7 +201,7 @@ def cmd_probe(args) -> int:
         v = is_strongly_positive(system, tol).eigenvector
         source = "min-eigenvector"
     probe = build_probe_system(v, tol)
-    value = probe_quadratic_form(system, system.atoms(), v, tol)
+    value = probe_quadratic_form(system, system.atoms(), probe, tol)
     if args.json:
         payload = {
             "name": doc.name,

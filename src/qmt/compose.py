@@ -23,10 +23,6 @@ from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators, eval
 MATERIALIZATION_LIMIT = 4096
 
 
-def composed_labels(s1: QuantumSystem, s2: QuantumSystem) -> tuple[str, ...]:
-    return tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
-
-
 def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
     """Kronecker-compose two systems into one of arity n1*n2.
 
@@ -42,7 +38,8 @@ def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) 
     matrix = np.kron(s1.matrix, s2.matrix)
     meta = {"composed_of": [s1.metadata.get("name", "?"), s2.metadata.get("name", "?")],
             "factor_arities": [s1.n, s2.n]}
-    return QuantumSystem(matrix, composed_labels(s1, s2), tol=tol, metadata=meta)
+    labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
+    return QuantumSystem(matrix, labels, tol=tol, metadata=meta)
 
 
 def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:

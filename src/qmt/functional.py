@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from .errors import (
 )
 
 MEASURE_TABLE_LIMIT = 16
-# Events per block of the vectorized 2**n sweep.
-SWEEP_CHUNK = 1 << 14
+# The event sweep splits the atoms into at most SWEEP_LOW_ATOMS low atoms and
+# the rest; one block covers SWEEP_BLOCK_HIGH consecutive masks of the rest.
+SWEEP_LOW_ATOMS = 12
+SWEEP_BLOCK_HIGH = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -155,34 +157,65 @@ def quantal_measure(s: QuantumSystem, a: Event, tol: Tolerance = DEFAULT_TOL) ->
     return z.real
 
 
-def event_measures(matrix: np.ndarray) -> np.ndarray:
-    """Measures of all 2**n events, indexed by bitmask, in one vectorized sweep.
+def _bit_rows(lo: int, hi: int, width: int) -> np.ndarray:
+    """0/1 rows of the masks lo..hi-1 over ``width`` atoms, bit i in column i."""
+    return (np.arange(lo, hi)[:, None] >> np.arange(width) & 1).astype(float)
 
-    Each mask is expanded to a 0/1 indicator vector v and evaluated as the
-    binary quadratic form v M v^T, which equals the bi-additive diagonal
-    value on that event.
+
+def _sweep_blocks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (first_mask, values): the measures of all 2**n masks in blocks.
+
+    With A = Re(M) and the atoms split into c low and n - c high ones, mask
+    h * 2**c + l has measure mu_H(h) + mu_L(l) + v_H (A_HL + A_LH^T) v_L^T,
+    which equals v^T A v even when A is only nearly symmetric.  A block is
+    one real GEMM [V_H, 1, mu_H] @ [(A_HL + A_LH^T) V_L^T; mu_L; 1] over
+    SWEEP_BLOCK_HIGH high masks; its row-major values are in mask order.
     """
     n = matrix.shape[0]
     if n > ENUMERATION_LIMIT:
         raise BruteForceLimitError(f"event sweep over 2**{n} masks exceeds limit")
-    total = 1 << n
-    out = np.empty(total, dtype=float)
-    shifts = np.arange(n, dtype=np.uint64)
-    for start in range(0, total, SWEEP_CHUNK):
-        masks = np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.uint64)
-        v = (masks[:, None] >> shifts[None, :] & 1).astype(float)
-        out[start : start + len(masks)] = ((v @ matrix) * v).sum(axis=1).real
-    return out
+    a = np.asarray(matrix).real
+    c = min(n, SWEEP_LOW_ATOMS)
+    v = _bit_rows(0, 1 << c, c)
+    mu_low = ((v @ a[:c, :c]) * v).sum(axis=1)
+    if c == n:  # no high atoms: mu_H and the cross term vanish
+        yield 0, mu_low
+        return
+    high = 1 << (n - c)
+    right = np.concatenate([(a[c:, :c] + a[:c, c:].T) @ v.T, [mu_low, np.ones(1 << c)]])
+    for lo in range(0, high, SWEEP_BLOCK_HIGH):
+        v = _bit_rows(lo, min(lo + SWEEP_BLOCK_HIGH, high), n - c)
+        mu_high = ((v @ a[c:, c:]) * v).sum(axis=1, keepdims=True)
+        yield lo << c, np.concatenate([v, np.ones_like(mu_high), mu_high], axis=1) @ right
+
+
+def event_measures(matrix: np.ndarray) -> np.ndarray:
+    """Measures of all 2**n events, indexed by bitmask: the sweep's blocks joined.
+
+    Mask v has measure v^T Re(M) v, the bi-additive diagonal value on its
+    event.  Raises ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
+    """
+    return np.concatenate([values.ravel() for _, values in _sweep_blocks(matrix)])
 
 
 def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
-    """The lowest-bitmask event with measure below -slack, and that measure."""
-    mu = event_measures(matrix)
-    bad = np.flatnonzero(mu < -slack)
-    if bad.size == 0:
-        return None
-    first = int(bad[0])
-    return Event(first, matrix.shape[0]), float(mu[first])
+    """The lowest-bitmask event with measure below -slack, and that measure.
+
+    Reduces the event sweep block by block (at most 2**20 measures, 8 MB,
+    each) and returns from the first block that holds a candidate.  A
+    candidate counts only when its direct sum Re 1^T M[S,S] 1 is below
+    -slack too; that sum is the returned measure.
+    """
+    for first, values in _sweep_blocks(matrix):
+        if values.min() >= -slack:
+            continue
+        for offset in np.flatnonzero(values < -slack):
+            event = Event(first + int(offset), len(matrix))
+            idx = np.array(event.indices(), dtype=np.intp)
+            value = float(matrix[np.ix_(idx, idx)].sum().real)
+            if value < -slack:
+                return event, value
+    return None
 
 
 @dataclass(frozen=True)
@@ -245,11 +278,10 @@ def check_axioms(
     )
     if not (check_weak and report.hermitian and m.shape[0] <= ENUMERATION_LIMIT):
         return report
-    violation = first_weak_violation(m, tol.scaled(m))
-    if violation is None:
-        return replace(report, weakly_positive=True)
-    event, value = violation
-    return replace(report, weakly_positive=False, weak_violation=event, weak_violation_value=value)
+    event, value = first_weak_violation(m, tol.scaled(m)) or (None, None)
+    return replace(
+        report, weakly_positive=event is None, weak_violation=event, weak_violation_value=value
+    )
 
 
 def _sum_rule_residuals(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:

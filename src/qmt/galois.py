@@ -69,13 +69,14 @@ def probe_quadratic_form(
 ) -> float:
     """Evaluate v^dagger M v / rho through composition with the probe.
 
+    ``v`` is the probe vector, or a ``ProbeSystem`` already built from one.
     The composed event pairs each listed event A_i with the probe atom p_i
     (pair (a, p_i) sits at a*(m+1) + i for m events); its measure under
     M_s (x) M_probe, evaluated by mode products, collapses to the quadratic
     form on the event matrix M of ``events``, scaled by 1/rho.  Requires
     pairwise disjoint events of the probed system's arity.
     """
-    probe = build_probe_system(v, tol)
+    probe = v if isinstance(v, ProbeSystem) else build_probe_system(v, tol)
     if len(events) != probe.n - 1:
         raise ValueError(
             f"vector length {probe.n - 1} does not match {len(events)} events"

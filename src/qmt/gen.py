@@ -119,18 +119,14 @@ def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
         "seed": spec.seed,
         "rng": RNG_ALGORITHM,
     }
-    n = spec.atoms
+    draw = {
+        "strong": _draw_strong,
+        "posentry": _draw_posentry,
+        "classical": _draw_classical,
+        "hermitian_only": _draw_hermitian,
+    }.get(spec.kind, _draw_weak_only)
     for _ in range(MAX_RETRIES):
-        if spec.kind == "strong":
-            matrix = _draw_strong(rng, n)
-        elif spec.kind == "posentry":
-            matrix = _draw_posentry(rng, n)
-        elif spec.kind == "classical":
-            matrix = _draw_classical(rng, n)
-        elif spec.kind == "hermitian_only":
-            matrix = _draw_hermitian(rng, n)
-        else:
-            matrix = _draw_weak_only(rng, n)
+        matrix = draw(rng, spec.atoms)
         if matrix is None:
             continue
         system = QuantumSystem(matrix, tol=tol, metadata=metadata)

@@ -121,11 +121,8 @@ def _perm_block_sums(matrix: np.ndarray) -> tuple[complex, complex, complex, com
     if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
         raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
     even, odd = _permutations_by_parity(m)
-    ee = _perm_block_sum(matrix, even, even)
-    eo = _perm_block_sum(matrix, even, odd)
-    oe = _perm_block_sum(matrix, odd, even)
-    oo = _perm_block_sum(matrix, odd, odd)
-    return ee, eo, oe, oo
+    blocks = ((even, even), (even, odd), (odd, even), (odd, odd))
+    return tuple(_perm_block_sum(matrix, rows, cols) for rows, cols in blocks)
 
 
 @dataclass(frozen=True)

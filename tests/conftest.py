@@ -57,6 +57,30 @@ def random_hermitian_system(rng, n):
     return QuantumSystem(h / total)
 
 
+def strong_with_a_negative_event():
+    """S within tolerance, yet the event {0, 1} measures about -3.6e-9."""
+    u, w = np.array([0.0, 0.0, 1.0]), np.array([1.0, 1.0, 0.0]) / np.sqrt(2)
+    m = np.outer(u, u) - 1.8e-9 * np.outer(w, w)
+    return QuantumSystem(m / m.sum())
+
+
+def classical_outside_s():
+    """Diagonal within tolerance, but its off-diagonal -0.99e-9 makes it non-PSD."""
+    m = np.full((6, 6), -0.99e-9)
+    np.fill_diagonal(m, 0.0)
+    m[0, 0] = 1.0 - m.sum()
+    return QuantumSystem(m)
+
+
+def weak_only_above_limit(n=21):
+    """Positive-entry base plus an imaginary antisymmetric part: in W, not S or P."""
+    rng = np.random.default_rng(n)
+    base = rng.uniform(0.0, 1.0, (n, n))
+    base = (base + base.T) / base.sum() / 2.0
+    k = rng.standard_normal((n, n))
+    return QuantumSystem(base + 0.05j * (k - k.T) / np.abs(k - k.T).max())
+
+
 def gen_posentry_not_strong(n, seed):
     """Positive-entry system that is not strongly positive (retry until hit)."""
     for attempt in range(200):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,23 @@ from qmt import (
 )
 from qmt.errors import BruteForceLimitError
 
-from conftest import oracle_psd_by_minors, oracle_weakly_positive, random_hermitian_system
+from conftest import (
+    classical_outside_s,
+    oracle_psd_by_minors,
+    oracle_weakly_positive,
+    random_hermitian_system,
+    strong_with_a_negative_event,
+    weak_only_above_limit,
+)
+
+
+def assert_hierarchy(c):
+    if c.strongly_positive or c.positive_entry:
+        assert c.weakly_positive and c.weak_violation is None
+    if c.classical:
+        assert c.positive_entry and c.strongly_positive
+    if c.positive_entry:
+        assert c.in_dual_of_posentry
 
 
 class TestWeakPositivity:
@@ -160,17 +178,44 @@ class TestClassify:
         assert c.strongly_positive
         assert not c.positive_entry
 
+    def test_strong_decides_weak_without_a_sweep(self, monkeypatch):
+        s = strong_with_a_negative_event()
+        assert not is_weakly_positive(s).ok  # the sweep alone sees -3.6e-9
+        module = sys.modules["qmt.classify"]
+        monkeypatch.setattr(module, "is_weakly_positive", lambda *a, **k: pytest.fail("swept"))
+        c = classify(s)
+        assert c.strongly_positive and c.weakly_positive and c.weak_violation is None
+        assert_hierarchy(c)
+
+    def test_classical_requires_strong(self):
+        s = classical_outside_s()
+        assert is_classical(s)
+        c = classify(s)
+        assert not c.strongly_positive and not c.classical
+        assert c.positive_entry and c.weakly_positive
+        assert_hierarchy(c)
+
+    def test_hierarchy_on_borderline_and_random_systems(self):
+        rng = np.random.default_rng(31)
+        systems = [strong_with_a_negative_event(), classical_outside_s()]
+        systems += [random_hermitian_system(rng, int(rng.integers(1, 7))) for _ in range(40)]
+        for s in systems:
+            assert_hierarchy(classify(s))
+
+    def test_above_the_limit_s_or_p_still_classifies(self):
+        strong = generate(GenSpec("strong", 8, 3))
+        c = classify(compose(strong, strong))
+        assert c.strongly_positive and c.weakly_positive
+        posentry = generate(GenSpec("posentry", 24, 1))
+        assert classify(posentry).weakly_positive
+        assert generate(GenSpec("strong", 21, 1)).n == 21
+        with pytest.raises(BruteForceLimitError):
+            classify(weak_only_above_limit())
+
     def test_hierarchy_on_generated_systems(self):
         for kind in ("strong", "posentry", "classical", "weak_not_strong_not_posentry"):
             for seed in range(12):
                 n = 2 + seed % 3
                 if kind == "weak_not_strong_not_posentry" and n < 2:
                     continue
-                s = generate(GenSpec(kind, n, seed))
-                c = classify(s)
-                if c.strongly_positive:
-                    assert c.weakly_positive
-                if c.classical:
-                    assert c.positive_entry and c.strongly_positive
-                if c.positive_entry:
-                    assert c.in_dual_of_posentry
+                assert_hierarchy(classify(generate(GenSpec(kind, n, seed))))

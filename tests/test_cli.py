@@ -22,6 +22,8 @@ from qmt.errors import (
     SumRuleViolationError,
 )
 
+from conftest import classical_outside_s, strong_with_a_negative_event, weak_only_above_limit
+
 # Exit codes as documented in the cli module docstring and README.
 DOCUMENTED_EXIT_CODES = {
     DocumentError: 2,
@@ -105,6 +107,40 @@ class TestClassifyCommand:
         assert code == 3
         code, _, _ = run(["classify", "--eps", "1e-4", str(slightly_off)], capsys)
         assert code == 0
+
+
+    def test_repros_that_used_to_exit_1(self, tmp_path, capsys):
+        for name, s in (("strong", strong_with_a_negative_event()), ("diag", classical_outside_s())):
+            path = tmp_path / f"{name}.json"
+            write_document(path, SystemDocument.from_system(name, s))
+            code, out, err = run(["classify", str(path)], capsys)
+            assert (code, err) == (0, "")
+            assert "weakly positive:    yes" in out
+
+    def test_strong_composition_above_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        argv = ["gen", "--kind", "strong", "--atoms", "8", "--seed", "3", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        assert run(["compose", str(path), str(path), "-o", str(path)], capsys)[0] == 0
+        code, out, _ = run(["classify", "--json", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["atoms"]) == 64
+        assert payload["flags"]["weakly_positive"] is True
+        assert payload["weak_violation"] is None
+
+    def test_gen_strong_above_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        argv = ["gen", "--kind", "strong", "--atoms", "21", "--seed", "1", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        assert run(["classify", str(path)], capsys)[0] == 0
+
+    def test_weak_only_above_the_limit_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        write_document(path, SystemDocument.from_system("w", weak_only_above_limit()))
+        code, _, err = run(["classify", str(path)], capsys)
+        assert code == 4
+        assert "n <= 20" in err
 
 
 class TestComposeCommand:
@@ -210,6 +246,21 @@ class TestProbeCommand:
         )
         assert code == 0
         assert json.loads(out)["value"] >= -1e-9
+
+
+    def test_probe_system_built_once(self, doc_path, monkeypatch, capsys):
+        built = []
+        original = cli.build_probe_system
+
+        def counted(v, tol):
+            built.append(v)
+            return original(v, tol)
+
+        monkeypatch.setattr(cli, "build_probe_system", counted)
+        monkeypatch.setattr(sys.modules["qmt.galois"], "build_probe_system", counted)
+        code, out, _ = run(["probe", "--json", doc_path("posentry_not_strong")], capsys)
+        assert code == 0 and len(built) == 1
+        assert json.loads(out)["value"] < 0
 
 
 class TestGenAndVerifyCommands:

@@ -4,7 +4,9 @@ import pytest
 from qmt import (
     ArityMismatchError,
     AxiomViolationError,
+    BruteForceLimitError,
     Event,
+    GenSpec,
     MeasureTable,
     QuantumSystem,
     SumRuleViolationError,
@@ -13,10 +15,14 @@ from qmt import (
     check_quantal_sum_rule,
     eval_D,
     event_matrix,
+    generate,
     measure_table,
     quantal_measure,
     system_from_measure,
 )
+from qmt import functional
+from qmt.functional import event_measures, first_weak_violation
+from qmt.gen import KINDS
 
 from conftest import oracle_event_value, random_hermitian_system
 
@@ -183,6 +189,114 @@ class TestCheckAxioms:
     def test_weak_check_skippable(self):
         report = check_axioms(np.eye(2) / 2.0, check_weak=False)
         assert report.weakly_positive is None
+
+
+def chunked_sweep(matrix, chunk=1 << 14):
+    """The earlier one-GEMM-per-chunk sweep: v M v^T over explicit 0/1 rows."""
+    n = matrix.shape[0]
+    total = 1 << n
+    out = np.empty(total)
+    shifts = np.arange(n, dtype=np.uint64)
+    for start in range(0, total, chunk):
+        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
+        v = (masks[:, None] >> shifts[None, :] & 1).astype(float)
+        out[start : start + len(masks)] = ((v @ matrix) * v).sum(axis=1).real
+    return out
+
+
+def nearly_hermitian(rng, n):
+    """Random system whose real part is asymmetric by about 1e-10, within tolerance."""
+    s = random_hermitian_system(rng, n)
+    skew = rng.standard_normal((n, n)) * 1e-10
+    m = s.matrix + skew - skew.sum() / n**2
+    return QuantumSystem(m).matrix
+
+
+def first_below(mu, slack):
+    bad = np.flatnonzero(mu < -slack)
+    return int(bad[0]) if bad.size else None
+
+
+def high_block_violator():
+    """16 atoms: the events holding atoms 12 and 13 and at most one more are negative."""
+    m = np.eye(16)
+    m[12, 13] = m[13, 12] = -2.0
+    return m / m.sum()
+
+
+class TestEventSweep:
+    def assert_matches_oracle(self, m):
+        want, got = chunked_sweep(m), event_measures(m)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got.argmin() == want.argmin()
+        slack = functional.DEFAULT_TOL.scaled(m)
+        found = first_weak_violation(m, slack)
+        expected = first_below(want, slack)
+        assert (found and found[0].bits) == expected
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_chunked_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            self.assert_matches_oracle(nearly_hermitian(rng, n))
+        for kind in KINDS:
+            if kind == "weak_not_strong_not_posentry" and n < 2:
+                continue
+            self.assert_matches_oracle(generate(GenSpec(kind, n, n)).matrix)
+
+    def test_matches_chunked_oracle_at_twenty_atoms(self):
+        self.assert_matches_oracle(nearly_hermitian(np.random.default_rng(20), 20))
+
+    def test_asymmetric_real_part_is_not_symmetrised(self):
+        # A kernel that assumed Re(M) symmetric would double A_HL and miss A_LH.
+        m = np.zeros((14, 14))
+        m[0, 13] = 1.0
+        mu = event_measures(m)
+        assert mu[1 | 1 << 13] == 1.0 and mu[1] == mu[1 << 13] == 0.0
+
+    def test_first_violator_in_a_high_block(self):
+        m = high_block_violator()
+        mu = chunked_sweep(m)
+        later = np.flatnonzero(mu < 0)
+        assert later[0] == 0x3000 and (later >= 1 << 14).any()
+        event, value = first_weak_violation(m, 1e-9)
+        assert event == Event(0x3000, 16)
+        assert value == m[np.ix_([12, 13], [12, 13])].sum()
+
+    def test_reduction_stops_at_the_first_violating_block(self, monkeypatch):
+        monkeypatch.setattr(functional, "SWEEP_BLOCK_HIGH", 1)
+        seen = []
+        blocks = functional._sweep_blocks
+
+        def counted(matrix):
+            for first, values in blocks(matrix):
+                seen.append(first)
+                yield first, values
+
+        monkeypatch.setattr(functional, "_sweep_blocks", counted)
+        m = high_block_violator()
+        assert first_weak_violation(m, 1e-9)[0] == Event(0x3000, 16)
+        assert seen == [0, 0x1000, 0x2000, 0x3000]
+        assert np.allclose(event_measures(m), chunked_sweep(m), rtol=0, atol=1e-12)
+
+    def test_violation_needs_the_direct_sum_too(self, monkeypatch):
+        # A blocked value below -slack whose direct sum is not is skipped.
+        m = high_block_violator()
+        blocks = functional._sweep_blocks
+
+        def shifted(matrix):
+            for first, values in blocks(matrix):
+                values[0, 5] = -1.0
+                yield first, values
+
+        monkeypatch.setattr(functional, "_sweep_blocks", shifted)
+        assert first_weak_violation(m, 1e-9)[0] == Event(0x3000, 16)
+
+    def test_limit(self):
+        with pytest.raises(BruteForceLimitError):
+            event_measures(np.eye(21) / 21)
+        with pytest.raises(BruteForceLimitError):
+            first_weak_violation(np.eye(21) / 21, 1e-9)
 
 
 class TestQuantalSumRule:

@@ -1,0 +1,43 @@
+"""Derandomised property tests: the event sweep and the W-from-S-or-P rule."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from qmt import GenSpec, classify, generate
+from qmt.functional import DEFAULT_TOL, event_measures
+
+from conftest import random_hermitian_system
+
+FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+
+@FIXED
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_measure_is_the_direct_sum(n, seed, data):
+    m = random_hermitian_system(np.random.default_rng(seed), n).matrix
+    mu = event_measures(m)
+    scale = np.abs(mu).max()
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    for mask in masks:
+        idx = np.array([i for i in range(n) if mask >> i & 1], dtype=np.intp)
+        direct = m[np.ix_(idx, idx)].sum().real
+        assert abs(mu[mask] - direct) <= 1e-12 * scale
+
+
+@FIXED
+@given(
+    kind=st.sampled_from(["strong", "posentry", "classical", "hermitian_only"]),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 10**6),
+)
+def test_s_or_p_implies_weakly_positive(kind, n, seed):
+    s = generate(GenSpec(kind, n, seed))
+    c = classify(s)
+    if c.strongly_positive or c.positive_entry:
+        assert c.weakly_positive and c.weak_violation is None
+        assert event_measures(s.matrix).min() >= -DEFAULT_TOL.scaled(s.matrix)
+    else:
+        assert kind == "hermitian_only"
