@@ -16,31 +16,27 @@ only for a system in neither S nor P; only such a system above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .algebra import ENUMERATION_LIMIT, Event
-from .errors import BruteForceLimitError, QmtError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, first_weak_violation
+from .errors import BruteForceLimitError
+from .functional import (
+    DEFAULT_TOL,
+    EntryResult,
+    QuantumSystem,
+    StrongResult,
+    Tolerance,
+    WeakResult,
+    _entry_test,
+    _psd_test,
+    first_weak_violation,
+    positivity,
+)
 
 
-class WeakResult(NamedTuple):
-    ok: bool
-    violation: Event | None
-    value: float | None
-
-
-class StrongResult(NamedTuple):
-    ok: bool
-    min_eigenvalue: float
-    eigenvector: np.ndarray
-
-
-class EntryResult(NamedTuple):
-    ok: bool
-    index: tuple[int, int] | None
-    value: complex | None
+def _sweep_limit_message(limit: int, n: int) -> str:
+    return f"weak positivity sweep needs n <= {limit}, got {n}"
 
 
 def is_weakly_positive(
@@ -51,7 +47,7 @@ def is_weakly_positive(
 ) -> WeakResult:
     """Sweep all 2**n events; the witness is the first violator by bitmask."""
     if s.n > limit:
-        raise BruteForceLimitError(f"weak positivity sweep needs n <= {limit}, got {s.n}")
+        raise BruteForceLimitError(_sweep_limit_message(limit, s.n))
     event, value = first_weak_violation(s.matrix, tol.scaled(s.matrix)) or (None, None)
     return WeakResult(event is None, event, value)
 
@@ -62,14 +58,7 @@ def is_strongly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Stro
     The most-negative eigenpair is returned either way; the eigenvector
     doubles as a probe vector for the self-duality construction.
     """
-    try:
-        eigenvalues, eigenvectors = np.linalg.eigh(s.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise QmtError(f"eigendecomposition failed: {exc}") from exc
-    lo = float(eigenvalues[0])
-    vec = eigenvectors[:, 0].copy()
-    vec.flags.writeable = False
-    return StrongResult(lo >= -tol.scaled(s.matrix), lo, vec)
+    return _psd_test(s.matrix, tol.scaled(s.matrix))
 
 
 def is_positive_entry(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> EntryResult:
@@ -78,14 +67,7 @@ def is_positive_entry(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> EntryRe
     Sufficient and necessary for every event pair: each functional value
     is a sum of atomic entries, and the atoms are themselves events.
     """
-    slack = tol.scaled(s.matrix)
-    m = s.matrix
-    bad = (np.abs(m.imag) > slack) | (m.real < -slack)
-    idx = np.argwhere(bad)
-    if idx.size == 0:
-        return EntryResult(True, None, None)
-    i, j = (int(x) for x in idx[0])
-    return EntryResult(False, (i, j), complex(m[i, j]))
+    return _entry_test(s.matrix, tol.scaled(s.matrix))
 
 
 def is_classical(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -142,14 +124,15 @@ class Classification:
 def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Run every membership test; the class hierarchy holds by construction.
 
-    S and P are tested first.  When either holds, W follows by theorem and
-    is reported with no sweep and no violation; otherwise
-    ``is_weakly_positive`` sweeps, and raises above ``ENUMERATION_LIMIT``.
-    Classical also requires S, and one slack makes classical => P => dual(P).
+    S, P and W come from ``functional.positivity``: when S or P holds, W
+    follows by theorem and is reported with no sweep and no violation;
+    otherwise the events are swept, and above ``ENUMERATION_LIMIT`` atoms
+    this raises.  Classical also requires S, and one slack makes
+    classical => P => dual(P).
     """
-    strong = is_strongly_positive(s, tol)
-    entry = is_positive_entry(s, tol)
-    weak = WeakResult(True, None, None) if strong.ok or entry.ok else is_weakly_positive(s, tol)
+    strong, entry, weak = positivity(s.matrix, tol.scaled(s.matrix))
+    if weak.ok is None:
+        raise BruteForceLimitError(_sweep_limit_message(ENUMERATION_LIMIT, s.n))
     dual = is_in_dual_of_posentry(s, tol)
     return Classification(
         weakly_positive=weak.ok,

@@ -13,15 +13,25 @@ Complex values are explicit {re, im} objects, never strings.  The writer is
 canonical: fixed field order, UTF-8, floats rendered with 17 significant
 digits, so write -> read -> write is byte-identical.  Composed systems use
 the pair-index convention (i, j) -> i*n2 + j for their atom order.
+
+Both directions work on whole arrays.  The writer formats each distinct
+double once (Kronecker products of small factors repeat their entries: the
+512-atom compose chain of the cli-docs benchmark holds 524,288 doubles and
+33,994 distinct ones) and fills each row from one template.  The reader validates
+the parsed cells with a few bulk checks and converts them in one call; only
+a document that fails a check is walked cell by cell, for the message.
+Negative zero is written as ``-0`` but parsed by ``json`` as +0, so a
+document holding one is not byte-stable.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -46,13 +56,18 @@ class SystemDocument:
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = self.matrix
+        # A read-only complex array whose memory nothing can write (a system's,
+        # or one ``loads`` just parsed) is shared; anything else is copied.
+        owner = m if getattr(m, "base", None) is None else m.base
+        if not (isinstance(owner, np.ndarray) and m.dtype == complex
+                and not m.flags.writeable and not owner.flags.writeable):
+            m = np.array(m, dtype=complex)
+            m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != len(self.atoms):
             raise DocumentError(
                 f"matrix shape {m.shape} does not match {len(self.atoms)} atoms"
             )
-        m = m.copy()
-        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def to_system(self, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
@@ -66,21 +81,29 @@ class SystemDocument:
         return cls(name=name, atoms=system.labels, matrix=system.matrix, metadata=meta)
 
 
-def _fmt(x: float) -> str:
-    if not math.isfinite(x):
+def _row_texts(matrix: np.ndarray) -> list[list[str]]:
+    """Per row, the 17-digit text of each entry's real then imaginary part.
+
+    Each distinct bit pattern is formatted once, so -0.0 and +0.0 stay
+    apart.  The first non-finite value in row-major order, real part before
+    imaginary, is refused.
+    """
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float)
+    flat = parts.reshape(-1)
+    finite = np.isfinite(flat)
+    if not finite.all():
+        x = flat[int(np.argmin(finite))]
         raise DocumentError(f"non-finite float {x!r} cannot be serialized")
-    return format(float(x), ".17g")
+    bits, inverse = np.unique(flat.view(np.uint64), return_inverse=True)
+    texts = np.array([format(x, ".17g") for x in bits.view(float).tolist()], dtype=object)
+    # The inverse's shape varies across numpy versions for 1-D input; reshape it.
+    return texts[inverse.reshape(-1)].reshape(parts.shape).tolist()
 
 
 def dumps(doc: SystemDocument) -> str:
     """Serialize with canonical field order and fixed float formatting."""
-    rows = []
-    for row in doc.matrix:
-        cells = ", ".join(
-            f'{{"re": {_fmt(z.real)}, "im": {_fmt(z.imag)}}}' for z in row
-        )
-        rows.append(f"    [{cells}]")
-    matrix_text = ",\n".join(rows)
+    row = "    [" + ", ".join(['{"re": %s, "im": %s}'] * len(doc.atoms)) + "]"
+    matrix_text = ",\n".join(row % tuple(texts) for texts in _row_texts(doc.matrix))
     atoms_text = ", ".join(json.dumps(a) for a in doc.atoms)
     metadata_text = json.dumps(doc.metadata, sort_keys=True)
     return (
@@ -100,6 +123,58 @@ def _require(condition: bool, message: str) -> None:
 
 def _reject_constant(name: str):
     raise DocumentError(f"non-finite number {name} is not allowed")
+
+
+def _entry_error(rows: list, n: int) -> str:
+    """The message for the first bad row or entry of "matrix", in row-major order."""
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == n):
+            return f"matrix row {i} must have {n} entries"
+        for j, cell in enumerate(row):
+            if not (isinstance(cell, dict) and set(cell) == {"re", "im"}):
+                return f"matrix entry ({i}, {j}) must be an object with re and im"
+            values = cell["re"], cell["im"]
+            if not {type(v) for v in values} <= {int, float}:  # json's bool is neither
+                return f"matrix entry ({i}, {j}) must hold numbers"
+            try:
+                finite = all(math.isfinite(float(v)) for v in values)
+            except OverflowError:  # an integer beyond the double range
+                finite = False
+            if not finite:
+                return f"matrix entry ({i}, {j}) is not finite"
+    raise AssertionError("no bad entry in a matrix that failed a bulk check")
+
+
+_RE_IM = operator.itemgetter("re", "im")
+
+
+def _parse_matrix(rows: list, n: int) -> np.ndarray | None:
+    """The n x n complex matrix of the "matrix" rows, or None if any check fails.
+
+    Bulk checks: every row a list of n cells, every cell a dict of two keys
+    from which "re" and "im" can both be read (so those are its keys), every
+    value an int or float (bool is neither), and one conversion to finite
+    doubles.  The result is fresh and read-only.
+    """
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}):
+        return None
+    cells = list(chain.from_iterable(rows))
+    if not (set(map(type, cells)) <= {dict} and set(map(len, cells)) <= {2}):
+        return None
+    try:
+        values = list(chain.from_iterable(map(_RE_IM, cells)))
+    except KeyError:
+        return None
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        parts = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the double range
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    parts.flags.writeable = False
+    return parts.view(complex).reshape(n, n)
 
 
 def loads(text: str) -> SystemDocument:
@@ -123,26 +198,9 @@ def loads(text: str) -> SystemDocument:
     n = len(atoms)
     rows = raw["matrix"]
     _require(isinstance(rows, list) and len(rows) == n, f'"matrix" must have {n} rows')
-    matrix = np.zeros((n, n), dtype=complex)
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list) and len(row) == n, f"matrix row {i} must have {n} entries")
-        for j, cell in enumerate(row):
-            _require(
-                isinstance(cell, dict) and set(cell) == {"re", "im"},
-                f"matrix entry ({i}, {j}) must be an object with re and im",
-            )
-            re, im = cell["re"], cell["im"]
-            _require(
-                isinstance(re, (int, float)) and isinstance(im, (int, float))
-                and not isinstance(re, bool) and not isinstance(im, bool),
-                f"matrix entry ({i}, {j}) must hold numbers",
-            )
-            try:
-                z = complex(float(re), float(im))
-            except OverflowError:  # an integer beyond the double range
-                z = complex(math.inf)
-            _require(cmath.isfinite(z), f"matrix entry ({i}, {j}) is not finite")
-            matrix[i, j] = z
+    matrix = _parse_matrix(rows, n)
+    if matrix is None:
+        raise DocumentError(_entry_error(rows, n))
     metadata = raw.get("metadata", {})
     _require(isinstance(metadata, dict), '"metadata" must be an object')
     return SystemDocument(name=name, atoms=tuple(atoms), matrix=matrix, metadata=metadata)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import (
     ArityMismatchError,
     AxiomViolationError,
     BruteForceLimitError,
+    QmtError,
     SumRuleViolationError,
 )
 
@@ -54,7 +55,8 @@ class QuantumSystem:
 
     ``matrix[i, j]`` is the functional value on the singleton pair
     ({atom i}, {atom j}).  The matrix must be Hermitian and its entries
-    must sum to 1, both within ``tol``.
+    must sum to 1, both within ``tol``.  ``compose`` passes its Kronecker
+    product as a ``_KronProduct``, which skips the Hermiticity pass.
     """
 
     __slots__ = ("matrix", "labels", "metadata")
@@ -78,7 +80,10 @@ class QuantumSystem:
             raise AxiomViolationError(
                 f"entries sum to {axioms.entry_sum:.6g}, expected 1"
             )
-        m.flags.writeable = False
+        # m is fresh: read-only, with the array that owns its memory if it is a view.
+        for a in (m, m.base):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "metadata", dict(metadata or {}))
@@ -218,6 +223,62 @@ def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float
     return None
 
 
+class WeakResult(NamedTuple):
+    ok: bool | None  # None: unknown, the sweep would exceed ENUMERATION_LIMIT
+    violation: Event | None
+    value: float | None
+
+
+class StrongResult(NamedTuple):
+    ok: bool
+    min_eigenvalue: float
+    eigenvector: np.ndarray
+
+
+class EntryResult(NamedTuple):
+    ok: bool
+    index: tuple[int, int] | None
+    value: complex | None
+
+
+def _psd_test(m: np.ndarray, slack: float) -> StrongResult:
+    """Smallest eigenpair of a Hermitian matrix; ok when the eigenvalue is >= -slack."""
+    try:
+        eigenvalues, eigenvectors = np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:
+        raise QmtError(f"eigendecomposition failed: {exc}") from exc
+    lo = float(eigenvalues[0])
+    vec = eigenvectors[:, 0].copy()
+    vec.flags.writeable = False
+    return StrongResult(lo >= -slack, lo, vec)
+
+
+def _entry_test(m: np.ndarray, slack: float) -> EntryResult:
+    """Every entry real and non-negative within slack, else the first that is not."""
+    idx = np.argwhere((np.abs(m.imag) > slack) | (m.real < -slack))
+    if idx.size == 0:
+        return EntryResult(True, None, None)
+    i, j = (int(x) for x in idx[0])
+    return EntryResult(False, (i, j), complex(m[i, j]))
+
+
+def positivity(m: np.ndarray, slack: float) -> tuple[StrongResult, EntryResult, WeakResult]:
+    """Strong (S), positive-entry (P) and weak (W) positivity of a Hermitian matrix.
+
+    S => W and P => W are theorems, so when S or P holds W is reported with
+    no sweep and no violation.  Only otherwise are the 2**n events swept
+    for the lowest-bitmask violator; above ``ENUMERATION_LIMIT`` atoms W is
+    then None (unknown).  ``classify`` and ``check_axioms`` both decide W here.
+    """
+    strong, entry = _psd_test(m, slack), _entry_test(m, slack)
+    if strong.ok or entry.ok:
+        return strong, entry, WeakResult(True, None, None)
+    if m.shape[0] > ENUMERATION_LIMIT:
+        return strong, entry, WeakResult(None, None, None)
+    event, value = first_weak_violation(m, slack) or (None, None)
+    return strong, entry, WeakResult(event is None, event, value)
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     hermitian: bool
@@ -234,23 +295,43 @@ class AxiomReport:
         return self.hermitian and self.normalized
 
 
+class _KronProduct(NamedTuple):
+    """A fresh Kronecker product of systems' matrices, for ``QuantumSystem``.
+
+    It is Hermitian by construction, within the factors' own residuals, so
+    the constructor takes it without a copy or a Hermiticity pass and only
+    checks that its entry sum is finite and within ``slack`` of 1.
+    """
+
+    matrix: np.ndarray
+    slack: float
+
+
 def _matrix_axioms(matrix, tol: Tolerance) -> tuple[np.ndarray, AxiomReport]:
     """Complex copy of a square, non-empty, finite matrix and its axiom report.
 
     Shared by ``QuantumSystem`` and ``check_axioms``; weak fields left unset.
+    A ``_KronProduct`` is neither copied nor tested for Hermiticity.
     """
-    m = np.array(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise AxiomViolationError(f"atomic matrix must be square, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise AxiomViolationError("a system needs at least one atom")
+    product = isinstance(matrix, _KronProduct)
+    if product:
+        m = matrix.matrix
+    else:
+        m = np.array(matrix, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise AxiomViolationError(f"atomic matrix must be square, got shape {m.shape}")
+        if m.shape[0] == 0:
+            raise AxiomViolationError("a system needs at least one atom")
     entry_sum = complex(m.sum())
     # A NaN or infinite entry makes the sum non-finite (so does a sum that
     # overflows, which no normalised matrix has), without a pass of its own.
     if not cmath.isfinite(entry_sum):
         raise AxiomViolationError("matrix entries must be finite")
-    slack = tol.scaled(m)
-    herm_residual = float(np.abs(m - m.conj().T).max())
+    if product:
+        slack, herm_residual = matrix.slack, 0.0
+    else:
+        slack = tol.scaled(m)
+        herm_residual = float(np.abs(m - m.conj().T).max())
     return m, AxiomReport(
         hermitian=herm_residual <= slack,
         hermitian_residual=herm_residual,
@@ -270,17 +351,22 @@ def check_axioms(
 
     Hermiticity and normalisation are tested numerically.  Additivity holds
     by construction in the atomic representation, so it is reported as such
-    rather than re-tested.  The weak-positivity sweep is optional and only
-    runs when n is within ``ENUMERATION_LIMIT``.
+    rather than re-tested.  The optional weak-positivity check on a
+    Hermitian matrix is ``positivity``'s, the one ``classify`` makes: by
+    theorem when S or P holds (which costs an eigendecomposition), else by
+    the sweep, and unknown (None) above ``ENUMERATION_LIMIT`` atoms.
     """
     m, report = _matrix_axioms(
         matrix.matrix if isinstance(matrix, QuantumSystem) else matrix, tol
     )
-    if not (check_weak and report.hermitian and m.shape[0] <= ENUMERATION_LIMIT):
+    if not (check_weak and report.hermitian):
         return report
-    event, value = first_weak_violation(m, tol.scaled(m)) or (None, None)
+    weak = positivity(m, tol.scaled(m))[2]
     return replace(
-        report, weakly_positive=event is None, weak_violation=event, weak_violation_value=value
+        report,
+        weakly_positive=weak.ok,
+        weak_violation=weak.violation,
+        weak_violation_value=weak.value,
     )
 
 

@@ -1,8 +1,10 @@
 """Seeded generators for each positivity class.
 
 Every generator is deterministic in its seed (counter-based Philox stream)
-and certifies its output with the classification module before returning,
-so a returned system is guaranteed to sit in the requested class.
+and certifies its output with the classification module's membership tests
+before returning, so a returned system is guaranteed to sit in the
+requested class.  No certificate sweeps the 2**n events, so every kind can
+be generated above ``ENUMERATION_LIMIT`` atoms.
 """
 
 from __future__ import annotations
@@ -11,7 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify
+from .classify import (
+    is_classical,
+    is_in_dual_of_posentry,
+    is_positive_entry,
+    is_strongly_positive,
+)
 from .errors import SearchExhaustedError
 from .functional import DEFAULT_TOL, QuantumSystem, Tolerance
 
@@ -111,7 +118,7 @@ def _draw_weak_only(rng, n):
 
 
 def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
-    """Draw a system of the requested class, certified by ``classify``."""
+    """Draw a system of the requested class, certified by ``_certified``."""
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     metadata = {
         "generator": spec.kind,
@@ -138,13 +145,23 @@ def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
 
 
 def _certified(system: QuantumSystem, kind: str, tol: Tolerance) -> bool:
+    """Whether a draw sits in its kind's class, by the membership tests ``classify`` runs.
+
+    No kind sweeps the events.  A weak-only draw's real part is its
+    positive-entry base exactly (see ``_draw_weak_only``), so the dual test,
+    Re M >= 0 entrywise, certifies W: every measure is a sum of those parts.
+    """
     if kind == "hermitian_only":
         return True  # constructor already enforced the quasi-system axioms
-    c = classify(system, tol)
-    if kind == "strong":
-        return c.strongly_positive
     if kind == "posentry":
-        return c.positive_entry
+        return is_positive_entry(system, tol).ok
+    strong = is_strongly_positive(system, tol).ok
+    if kind == "strong":
+        return strong
     if kind == "classical":
-        return c.classical
-    return c.weakly_positive and not c.strongly_positive and not c.positive_entry
+        return strong and is_classical(system, tol)
+    return (
+        not strong
+        and not is_positive_entry(system, tol).ok
+        and is_in_dual_of_posentry(system, tol).ok
+    )

@@ -1,14 +1,19 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import cmath
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
 
 from qmt import (
+    DocumentError,
     Event,
     GenSpec,
     QuantumSystem,
+    SystemDocument,
     classify,
     eval_D,
     generate,
@@ -133,3 +138,69 @@ def oracle_weakly_positive(system, tol=1e-9):
         if value.real < -tol:
             return False, bits
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# Document oracles: a copy of the earlier per-entry writer (one format() call
+# per double) and per-cell reader loop, which the bulk ones must match.
+
+
+def oracle_dumps(doc):
+    def fmt(x):
+        if not math.isfinite(x):
+            raise DocumentError(f"non-finite float {x!r} cannot be serialized")
+        return format(float(x), ".17g")
+
+    rows = []
+    for row in doc.matrix:
+        cells = ", ".join(f'{{"re": {fmt(z.real)}, "im": {fmt(z.imag)}}}' for z in row)
+        rows.append(f"    [{cells}]")
+    matrix_text = ",\n".join(rows)
+    atoms_text = ", ".join(json.dumps(a) for a in doc.atoms)
+    metadata_text = json.dumps(doc.metadata, sort_keys=True)
+    return (
+        "{\n"
+        f'  "name": {json.dumps(doc.name)},\n'
+        f'  "atoms": [{atoms_text}],\n'
+        f'  "matrix": [\n{matrix_text}\n  ],\n'
+        f'  "metadata": {metadata_text}\n'
+        "}\n"
+    )
+
+
+def oracle_matrix(text):
+    """The matrix the per-cell loop parsed; DocumentError with its message if bad."""
+    raw = json.loads(text)
+    n = len(raw["atoms"])
+    matrix = np.zeros((n, n), dtype=complex)
+    for i, row in enumerate(raw["matrix"]):
+        if not (isinstance(row, list) and len(row) == n):
+            raise DocumentError(f"matrix row {i} must have {n} entries")
+        for j, cell in enumerate(row):
+            if not (isinstance(cell, dict) and set(cell) == {"re", "im"}):
+                raise DocumentError(f"matrix entry ({i}, {j}) must be an object with re and im")
+            re, im = cell["re"], cell["im"]
+            if not (
+                isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)
+            ):
+                raise DocumentError(f"matrix entry ({i}, {j}) must hold numbers")
+            try:
+                z = complex(float(re), float(im))
+            except OverflowError:
+                z = complex(math.inf)
+            if not cmath.isfinite(z):
+                raise DocumentError(f"matrix entry ({i}, {j}) is not finite")
+            matrix[i, j] = z
+    return matrix
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+def document(matrix, name="m"):
+    n = len(matrix)
+    return SystemDocument(name, tuple(f"a{i}" for i in range(n)), np.asarray(matrix), {})

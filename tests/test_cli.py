@@ -135,6 +135,32 @@ class TestClassifyCommand:
         assert run(argv, capsys)[0] == 0
         assert run(["classify", str(path)], capsys)[0] == 0
 
+    def test_gen_weak_only_above_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        argv = ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "21", "--seed", "1",
+                "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        assert len(read_document(path).atoms) == 21
+
+    def test_verify_and_classify_agree_above_the_limit(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        argv = ["gen", "--kind", "strong", "--atoms", "21", "--seed", "1", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert "weakly positive:  yes" in out
+        code, out, _ = run(["classify", str(path)], capsys)
+        assert code == 0
+        assert "weakly positive:    yes" in out
+
+    def test_verify_and_classify_agree_on_the_repros(self, tmp_path, capsys):
+        for name, s in (("strong", strong_with_a_negative_event()), ("diag", classical_outside_s())):
+            path = tmp_path / f"{name}.json"
+            write_document(path, SystemDocument.from_system(name, s))
+            code, out, _ = run(["verify", str(path)], capsys)
+            assert code == 0
+            assert "weakly positive:  yes" in out
+
     def test_weak_only_above_the_limit_exits_4(self, tmp_path, capsys):
         path = tmp_path / "w.json"
         write_document(path, SystemDocument.from_system("w", weak_only_above_limit()))

@@ -14,7 +14,7 @@ from qmt import (
     self_compose,
 )
 from qmt.compose import _kron_form
-from qmt.errors import BruteForceLimitError
+from qmt.errors import AxiomViolationError, BruteForceLimitError
 
 from conftest import random_hermitian_system
 
@@ -51,6 +51,37 @@ class TestCompose:
         big = QuantumSystem(np.diag(np.full(70, 1.0 / 70)))
         with pytest.raises(BruteForceLimitError):
             compose(big, big)
+
+    def test_product_is_np_kron_and_read_only(self):
+        rng = np.random.default_rng(5)
+        a, b = random_hermitian_system(rng, 5), random_hermitian_system(rng, 3)
+        composed = compose(a, b)
+        want = np.kron(a.matrix, b.matrix)
+        assert np.array_equal(composed.matrix.view(np.uint64), want.view(np.uint64))
+        assert not composed.matrix.flags.writeable
+        assert composed.matrix.base is None or not composed.matrix.base.flags.writeable
+
+    def test_normalisation_is_checked_as_the_constructor_checks_it(self):
+        # Each factor is within its slack of 1; the product's sum, about
+        # 1 + 2 * off, is not once off exceeds half the product's slack.
+        outcomes = set()
+        for off in (0.4e-9, 0.6e-9, 0.9e-9, 1.5e-9):
+            one = QuantumSystem([[1.0 + off]])
+            two = QuantumSystem(np.diag([0.5, 0.5 + off]))
+            for a, b in ((one, one), (one, two), (two, two)):
+                try:
+                    QuantumSystem(np.kron(a.matrix, b.matrix))
+                    want = None
+                except AxiomViolationError as exc:
+                    want = str(exc)
+                outcomes.add(want is None)
+                if want is None:
+                    compose(a, b)
+                else:
+                    with pytest.raises(AxiomViolationError, match="expected 1") as info:
+                        compose(a, b)
+                    assert str(info.value) == want
+        assert outcomes == {True, False}
 
 
 class TestSelfCompose:

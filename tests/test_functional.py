@@ -13,6 +13,7 @@ from qmt import (
     Tolerance,
     check_axioms,
     check_quantal_sum_rule,
+    classify,
     eval_D,
     event_matrix,
     generate,
@@ -21,10 +22,17 @@ from qmt import (
     system_from_measure,
 )
 from qmt import functional
+from qmt.algebra import ENUMERATION_LIMIT
 from qmt.functional import event_measures, first_weak_violation
 from qmt.gen import KINDS
 
-from conftest import oracle_event_value, random_hermitian_system
+from conftest import (
+    classical_outside_s,
+    oracle_event_value,
+    random_hermitian_system,
+    strong_with_a_negative_event,
+    weak_only_above_limit,
+)
 
 
 def ev(indices, n=2):
@@ -189,6 +197,26 @@ class TestCheckAxioms:
     def test_weak_check_skippable(self):
         report = check_axioms(np.eye(2) / 2.0, check_weak=False)
         assert report.weakly_positive is None
+
+    def test_weak_decision_is_classify_s(self):
+        systems = [strong_with_a_negative_event(), classical_outside_s()]
+        systems += [generate(GenSpec(kind, n, 3)) for kind in KINDS for n in range(2, 9)]
+        rng = np.random.default_rng(8)
+        systems += [random_hermitian_system(rng, n) for n in range(1, 9)]
+        for s in systems:
+            report, c = check_axioms(s), classify(s)
+            assert report.weakly_positive == c.weakly_positive
+            assert report.weak_violation == c.weak_violation
+            assert report.weak_violation_value == c.weak_violation_value
+        # S within tolerance: W by theorem, though one event sums to -3.6e-9.
+        assert check_axioms(strong_with_a_negative_event()).weakly_positive is True
+
+    def test_weak_above_the_enumeration_limit(self):
+        n = ENUMERATION_LIMIT + 1
+        assert check_axioms(generate(GenSpec("strong", n, 1))).weakly_positive is True
+        assert check_axioms(generate(GenSpec("posentry", n, 1))).weakly_positive is True
+        report = check_axioms(weak_only_above_limit(n))
+        assert report.is_system and report.weakly_positive is None
 
 
 def chunked_sweep(matrix, chunk=1 << 14):
