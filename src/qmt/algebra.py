@@ -170,8 +170,9 @@ def rectangle_cover(
     raise ValueError(f"unknown cover strategy {strategy!r}")
 
 
-def enumerate_events(n: int, limit: int = ENUMERATION_LIMIT) -> Iterator[Event]:
+def enumerate_events(n: int) -> Iterator[Event]:
     """Yield all 2**n events of an n-atom space in ascending bitmask order."""
+    limit = ENUMERATION_LIMIT
     if n > limit:
         raise BruteForceLimitError(f"2**{n} events exceeds enumeration limit 2**{limit}")
     for bits in range(1 << n):

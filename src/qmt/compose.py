@@ -48,7 +48,7 @@ def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) 
             "factor_arities": [s1.n, s2.n]}
     labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
     norm = float(np.linalg.norm(s1.matrix)) * float(np.linalg.norm(s2.matrix))
-    product = _KronProduct(matrix, tol.eps_abs + tol.eps_rel * norm)
+    product = _KronProduct(matrix, tol.slack(norm))
     return QuantumSystem(product, labels, tol=tol, metadata=meta)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .errors import (
 )
 
 MEASURE_TABLE_LIMIT = 16
+# The quantal sum rule is tested on all 4**n disjoint triples up to this n.
+SUM_RULE_EXHAUSTIVE_LIMIT = 8
 # The event sweep splits the atoms into at most SWEEP_LOW_ATOMS low atoms and
 # the rest; one block covers SWEEP_BLOCK_HIGH consecutive masks of the rest.
 SWEEP_LOW_ATOMS = 12
@@ -43,8 +45,12 @@ class Tolerance:
         if not (0 <= self.eps_abs < math.inf and 0 <= self.eps_rel < math.inf):
             raise ValueError("tolerances must be finite and non-negative")
 
+    def slack(self, scale: float) -> float:
+        """eps_abs plus eps_rel times ``scale``: the slack for values of that size."""
+        return self.eps_abs + self.eps_rel * scale
+
     def scaled(self, matrix: np.ndarray) -> float:
-        return self.eps_abs + self.eps_rel * float(np.linalg.norm(matrix))
+        return self.slack(float(np.linalg.norm(matrix)))
 
 
 DEFAULT_TOL = Tolerance()
@@ -223,12 +229,6 @@ def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float
     return None
 
 
-class WeakResult(NamedTuple):
-    ok: bool | None  # None: unknown, the sweep would exceed ENUMERATION_LIMIT
-    violation: Event | None
-    value: float | None
-
-
 class StrongResult(NamedTuple):
     ok: bool
     min_eigenvalue: float
@@ -239,6 +239,13 @@ class EntryResult(NamedTuple):
     ok: bool
     index: tuple[int, int] | None
     value: complex | None
+
+
+class _Entries(NamedTuple):
+    positive_entry: EntryResult
+    dual: EntryResult
+    real_symmetric: bool
+    diagonal: bool
 
 
 def _psd_test(m: np.ndarray, slack: float) -> StrongResult:
@@ -253,30 +260,93 @@ def _psd_test(m: np.ndarray, slack: float) -> StrongResult:
     return StrongResult(lo >= -slack, lo, vec)
 
 
-def _entry_test(m: np.ndarray, slack: float) -> EntryResult:
-    """Every entry real and non-negative within slack, else the first that is not."""
-    idx = np.argwhere((np.abs(m.imag) > slack) | (m.real < -slack))
-    if idx.size == 0:
+def _first_entry(m: np.ndarray, bad: np.ndarray) -> EntryResult:
+    """ok when no entry is marked bad, else the first one in row-major order."""
+    flat = np.flatnonzero(bad)
+    if flat.size == 0:
         return EntryResult(True, None, None)
-    i, j = (int(x) for x in idx[0])
+    i, j = divmod(int(flat[0]), m.shape[1])
     return EntryResult(False, (i, j), complex(m[i, j]))
 
 
-def positivity(m: np.ndarray, slack: float) -> tuple[StrongResult, EntryResult, WeakResult]:
-    """Strong (S), positive-entry (P) and weak (W) positivity of a Hermitian matrix.
+def _entry_scan(m: np.ndarray, slack: float) -> _Entries:
+    """Every entrywise test, within slack, from one scan of the entries.
 
-    S => W and P => W are theorems, so when S or P holds W is reported with
-    no sweep and no violation.  Only otherwise are the 2**n events swept
-    for the lowest-bitmask violator; above ``ENUMERATION_LIMIT`` atoms W is
-    then None (unknown).  ``classify`` and ``check_axioms`` both decide W here.
+    P: every entry real and non-negative.  dual(P): every real part
+    non-negative.  Real symmetric: every entry real.  Diagonal: every
+    off-diagonal entry zero and every diagonal entry as P requires.
     """
-    strong, entry = _psd_test(m, slack), _entry_test(m, slack)
-    if strong.ok or entry.ok:
-        return strong, entry, WeakResult(True, None, None)
-    if m.shape[0] > ENUMERATION_LIMIT:
-        return strong, entry, WeakResult(None, None, None)
-    event, value = first_weak_violation(m, slack) or (None, None)
-    return strong, entry, WeakResult(event is None, event, value)
+    negative = m.real < -slack
+    nonreal = np.abs(m.imag) > slack
+    not_p = negative | nonreal
+    not_diagonal = np.abs(m) > slack
+    np.fill_diagonal(not_diagonal, not_p.diagonal())
+    p, dual = _first_entry(m, not_p), _first_entry(m, negative)
+    return _Entries(p, dual, not nonreal.any(), not not_diagonal.any())
+
+
+@dataclass(frozen=True)
+class Classification:
+    """Membership in every positivity class; ``weakly_positive`` None is unknown."""
+
+    weakly_positive: bool | None
+    weak_violation: Event | None
+    weak_violation_value: float | None
+    strongly_positive: bool
+    min_eigenvalue: float
+    min_eigenvector: np.ndarray
+    positive_entry: bool
+    entry_violation: tuple[int, int] | None
+    classical: bool
+    in_dual_of_posentry: bool
+    dual_violation: tuple[int, int] | None
+    real_symmetric: bool
+
+    def flags(self) -> dict[str, bool | None]:
+        return {
+            "weakly_positive": self.weakly_positive,
+            "strongly_positive": self.strongly_positive,
+            "positive_entry": self.positive_entry,
+            "classical": self.classical,
+            "in_dual_of_posentry": self.in_dual_of_posentry,
+            "real_symmetric": self.real_symmetric,
+        }
+
+
+def positivity(m: np.ndarray, slack: float) -> Classification:
+    """Every class membership of a Hermitian matrix, from one eigh and one entry scan.
+
+    S => W is a theorem, and so is dual(P) => W: a measure is the sum of the
+    real parts of its event's entries.  dual(P) contains P, so when S or
+    dual(P) holds W is reported with no sweep and no violation.  Only
+    otherwise are the 2**n events swept for the lowest-bitmask violator;
+    above ``ENUMERATION_LIMIT`` atoms W is then None (unknown).  Classical
+    also requires S, and one slack makes classical => P => dual(P).
+    ``classify``, ``check_axioms`` and ``gen`` all read this record.
+    """
+    strong, entries = _psd_test(m, slack), _entry_scan(m, slack)
+    violation, value = None, None
+    if strong.ok or entries.dual.ok:
+        weak = True
+    elif m.shape[0] > ENUMERATION_LIMIT:
+        weak = None
+    else:
+        violation, value = first_weak_violation(m, slack) or (None, None)
+        weak = violation is None
+    return Classification(
+        weakly_positive=weak,
+        weak_violation=violation,
+        weak_violation_value=value,
+        strongly_positive=strong.ok,
+        min_eigenvalue=strong.min_eigenvalue,
+        min_eigenvector=strong.eigenvector,
+        positive_entry=entries.positive_entry.ok,
+        entry_violation=entries.positive_entry.index,
+        classical=entries.diagonal and strong.ok,
+        in_dual_of_posentry=entries.dual.ok,
+        dual_violation=entries.dual.index,
+        real_symmetric=entries.real_symmetric,
+    )
 
 
 @dataclass(frozen=True)
@@ -341,32 +411,27 @@ def _matrix_axioms(matrix, tol: Tolerance) -> tuple[np.ndarray, AxiomReport]:
     )
 
 
-def check_axioms(
-    matrix,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    check_weak: bool = True,
-) -> AxiomReport:
+def check_axioms(matrix, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     """Check the functional axioms on a raw matrix or a constructed system.
 
     Hermiticity and normalisation are tested numerically.  Additivity holds
     by construction in the atomic representation, so it is reported as such
-    rather than re-tested.  The optional weak-positivity check on a
-    Hermitian matrix is ``positivity``'s, the one ``classify`` makes: by
-    theorem when S or P holds (which costs an eigendecomposition), else by
-    the sweep, and unknown (None) above ``ENUMERATION_LIMIT`` atoms.
+    rather than re-tested.  Weak positivity of a Hermitian matrix is read
+    from ``positivity``, the record ``classify`` returns: by theorem when S
+    or dual(P) holds (which costs an eigendecomposition), else by the sweep,
+    and unknown (None) above ``ENUMERATION_LIMIT`` atoms.
     """
     m, report = _matrix_axioms(
         matrix.matrix if isinstance(matrix, QuantumSystem) else matrix, tol
     )
-    if not (check_weak and report.hermitian):
+    if not report.hermitian:
         return report
-    weak = positivity(m, tol.scaled(m))[2]
+    c = positivity(m, tol.scaled(m))
     return replace(
         report,
-        weakly_positive=weak.ok,
-        weak_violation=weak.violation,
-        weak_violation_value=weak.value,
+        weakly_positive=c.weakly_positive,
+        weak_violation=c.weak_violation,
+        weak_violation_value=c.weak_violation_value,
     )
 
 
@@ -407,21 +472,16 @@ class SumRuleReport:
         return self.passed
 
 
-def check_quantal_sum_rule(
-    s: QuantumSystem,
-    tol: Tolerance = DEFAULT_TOL,
-    *,
-    exhaustive_limit: int = 8,
-) -> SumRuleReport:
+def check_quantal_sum_rule(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> SumRuleReport:
     """Test the quantal sum rule on disjoint triples of events.
 
-    Exhaustive over all 4**n assignments when n <= exhaustive_limit.  Above
-    it the rule is reported as holding by construction (``exhaustive`` False,
-    zero residual): every measure of a matrix-defined system is a
+    Exhaustive over all 4**n assignments when n <= SUM_RULE_EXHAUSTIVE_LIMIT.
+    Above it the rule is reported as holding by construction (``exhaustive``
+    False, zero residual): every measure of a matrix-defined system is a
     bi-additive sum of atomic entries, for which the rule is an identity.
     """
     n = s.n
-    if n > exhaustive_limit:
+    if n > SUM_RULE_EXHAUSTIVE_LIMIT:
         return SumRuleReport(passed=True, max_residual=0.0, exhaustive=False, worst_triple=None)
     a, b, c, residual = _sum_rule_residuals(event_measures(s.matrix), n)
     r = np.abs(residual)
@@ -455,13 +515,6 @@ class MeasureTable:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def from_mapping(cls, n: int, mapping: Mapping[int, float]) -> "MeasureTable":
-        vals = np.zeros(1 << n)
-        for mask, value in mapping.items():
-            vals[mask] = value
-        return cls(n, vals)
-
     def value(self, e: Event) -> float:
         if e.arity != self.n:
             raise ArityMismatchError(f"event arity {e.arity} != table arity {self.n}")
@@ -469,12 +522,8 @@ class MeasureTable:
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
         """Raise unless the table is normalized and satisfies the sum rule."""
-        eps = tol.eps_abs + tol.eps_rel * float(np.abs(self.values).max())
-        if abs(self.values[0]) > eps:
-            raise SumRuleViolationError(f"empty event has measure {self.values[0]:.3e}")
-        if abs(self.values[-1] - 1.0) > eps:
-            raise SumRuleViolationError(f"full event has measure {self.values[-1]:.6g}")
-        if self.n <= 8:
+        eps = _check_normalised(self.values, tol)
+        if self.n <= SUM_RULE_EXHAUSTIVE_LIMIT:
             a, b, c, residual = _sum_rule_residuals(self.values, self.n)
             bad = np.flatnonzero(np.abs(residual) > eps)
             if bad.size:
@@ -483,6 +532,16 @@ class MeasureTable:
                     f"sum rule residual {residual[i]:.3e} on disjoint triple "
                     f"({int(a[i]):#x}, {int(b[i]):#x}, {int(c[i]):#x})"
                 )
+
+
+def _check_normalised(values: np.ndarray, tol: Tolerance) -> float:
+    """Raise unless the empty event measures 0 and the full one 1; return the slack."""
+    eps = tol.slack(float(np.abs(values).max()))
+    if abs(values[0]) > eps:
+        raise SumRuleViolationError(f"empty event has measure {values[0]:.3e}")
+    if abs(values[-1] - 1.0) > eps:
+        raise SumRuleViolationError(f"full event has measure {values[-1]:.6g}")
+    return eps
 
 
 def measure_table(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> MeasureTable:
@@ -507,11 +566,7 @@ def system_from_measure(
     """
     n = table.n
     vals = table.values
-    eps = tol.eps_abs + tol.eps_rel * float(np.abs(vals).max())
-    if abs(vals[0]) > eps:
-        raise SumRuleViolationError(f"empty event has measure {vals[0]:.3e}")
-    if abs(vals[-1] - 1.0) > eps:
-        raise SumRuleViolationError(f"full event has measure {vals[-1]:.6g}")
+    _check_normalised(vals, tol)
     m = np.zeros((n, n))
     for i in range(n):
         m[i, i] = vals[1 << i]

@@ -1,10 +1,10 @@
 """Seeded generators for each positivity class.
 
 Every generator is deterministic in its seed (counter-based Philox stream)
-and certifies its output with the classification module's membership tests
-before returning, so a returned system is guaranteed to sit in the
-requested class.  No certificate sweeps the 2**n events, so every kind can
-be generated above ``ENUMERATION_LIMIT`` atoms.
+and certifies its output with the record ``classify`` returns before
+returning, so a returned system is guaranteed to sit in the requested
+class.  No certificate sweeps the 2**n events, so every kind can be
+generated above ``ENUMERATION_LIMIT`` atoms.
 """
 
 from __future__ import annotations
@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import (
-    is_classical,
-    is_in_dual_of_posentry,
-    is_positive_entry,
-    is_strongly_positive,
-)
+from .classify import is_positive_entry
 from .errors import SearchExhaustedError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, positivity
 
 KINDS = (
     "strong",
@@ -145,23 +140,21 @@ def generate(spec: GenSpec, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
 
 
 def _certified(system: QuantumSystem, kind: str, tol: Tolerance) -> bool:
-    """Whether a draw sits in its kind's class, by the membership tests ``classify`` runs.
+    """Whether a draw sits in its kind's class, by the record ``classify`` returns.
 
-    No kind sweeps the events.  A weak-only draw's real part is its
-    positive-entry base exactly (see ``_draw_weak_only``), so the dual test,
-    Re M >= 0 entrywise, certifies W: every measure is a sum of those parts.
+    The positive-entry kind takes the entry test alone, which needs no
+    eigendecomposition; the other kinds read ``functional.positivity``.
+    No kind sweeps the events: a weak-only draw's real part is its
+    positive-entry base exactly (see ``_draw_weak_only``), so dual(P)
+    holds and W follows by theorem.
     """
     if kind == "hermitian_only":
         return True  # constructor already enforced the quasi-system axioms
     if kind == "posentry":
         return is_positive_entry(system, tol).ok
-    strong = is_strongly_positive(system, tol).ok
+    c = positivity(system.matrix, tol.scaled(system.matrix))
     if kind == "strong":
-        return strong
+        return c.strongly_positive
     if kind == "classical":
-        return strong and is_classical(system, tol)
-    return (
-        not strong
-        and not is_positive_entry(system, tol).ok
-        and is_in_dual_of_posentry(system, tol).ok
-    )
+        return c.classical
+    return c.weakly_positive is True and not c.strongly_positive and not c.positive_entry

@@ -143,7 +143,7 @@ def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
     ee, eo, _, _ = _perm_block_sums(n)
     half = math.factorial(m) // 2
     scale = half * half * max(1.0, float(np.abs(n).max())) ** m
-    slack = tol.eps_abs + tol.eps_rel * scale
+    slack = tol.slack(scale)
     if abs(ee.imag) > slack or abs(eo.imag) > slack:
         raise AxiomViolationError(
             f"permutation sums have imaginary residues ({ee.imag:.3e}, {eo.imag:.3e}); "
@@ -442,8 +442,9 @@ def build_witness(
 
     Preconditions: the system is weakly positive, not strongly positive,
     not positive-entry, and has at least two atoms.  Case (a) applies when
-    both phase-pair diagonals vanish; otherwise case (b) splits on the
-    signs of the permutation sums of the negative-determinant submatrix.
+    both phase-pair diagonals vanish and its value is not too shallow for
+    double precision; otherwise case (b) splits on the signs of the
+    permutation sums of the negative-determinant submatrix.
     """
     eps = tol.scaled(s.matrix)
     if s.n < 2:
@@ -461,109 +462,32 @@ def build_witness(
     r_aa = max(0.0, quantal_measure(s, primary.first, tol))
     r_bb = max(0.0, quantal_measure(s, primary.second, tol))
     if r_aa <= eps and r_bb <= eps:
-        try:
-            return _case_a(s, tol, primary, cross_check_limit)
-        except QCapError:
-            pass  # phase too shallow for the pure-phase event; try the general form
+        k, _ = cos_sign_pair(primary.theta)
+        predicted = 2.0 * primary.modulus**k * math.cos(k * primary.theta)
+        if predicted < -VALUE_FLOOR:
+            ids = (primary.first.indices()[0], primary.second.indices()[0])
+            return _finish(
+                s, tol, cross_check_limit, ids, ((0,) * k, (1,) * k),
+                case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
+                p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
+                predicted_value=predicted,
+            )
 
     plan = _search_case_b(s, tol, pairs, q_cap)
-    pair = plan.pair
-    case = plan.case
-    neg = plan.neg
-    ee, eo = plan.sums.ee, plan.sums.eo
-    p, q = plan.p, plan.q
     m = plan.sums.order
-    k = p + m * q
-    predicted = plan.predicted
-
-    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
-    factors = tuple(s.atom(i) for i in ids)
     even, odd = _permutations_by_parity(m)
-    half = len(even)
-    count = 2 * half**q
-
+    count = 2 * len(even) ** plan.q
     components = None
     if count <= COMPONENT_LIST_CAP:
-        components = _materialize_components(p, q, m, even, odd)
+        components = _materialize_components(plan.p, plan.q, m, even, odd)
         if len(set(components)) != len(components):
             raise QmtError("witness components are not pairwise distinct")
-
-    # Every factor is one atom, so the factor values are atomic entries.
-    values = s.matrix[np.ix_(ids, ids)]
-    if components is not None and count <= ORACLE_PAIR_CAP:
-        comps = np.array(components, dtype=np.intp)
-        verified_c = _double_sum(values, comps)
-    else:
-        verified_c = _blockwise_value(values, p, q, m)
-    if abs(verified_c.imag) > max(eps, 1e-12 * max(1.0, abs(verified_c))):
-        raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
-    verified = verified_c.real
-
+    ids = (plan.pair.first.indices()[0], plan.pair.second.indices()[0]) + plan.neg.atoms
     return _finish(
-        s,
-        Witness(
-            case=case,
-            phase_pair=pair,
-            neg_det_atoms=neg.atoms,
-            ee=ee,
-            eo=eo,
-            p=p,
-            q=q,
-            k=k,
-            x_p=plan.x_p,
-            y_p=plan.y_p,
-            factors=factors,
-            component_count=count,
-            components=components,
-            predicted_value=predicted,
-            verified_value=verified,
-        ),
-        tol,
-        cross_check_limit,
-    )
-
-
-def _case_a(
-    s: QuantumSystem,
-    tol: Tolerance,
-    pair: PhasePair,
-    cross_check_limit: int,
-) -> Witness:
-    k, _ = cos_sign_pair(pair.theta)
-    predicted = 2.0 * pair.modulus**k * math.cos(k * pair.theta)
-    if not predicted < -VALUE_FLOOR:
-        raise QCapError(
-            f"constructed value {predicted:.3e} is not decisively negative in double "
-            f"precision (theta = {pair.theta:.3e}, k = {k})"
-        )
-    factors = (pair.first, pair.second)
-    components = ((0,) * k, (1,) * k)
-    ids = [f.indices()[0] for f in factors]
-    values = s.matrix[np.ix_(ids, ids)]
-    verified_c = _double_sum(values, np.array(components, dtype=np.intp))
-    verified = verified_c.real
-
-    return _finish(
-        s,
-        Witness(
-            case="a",
-            phase_pair=pair,
-            neg_det_atoms=None,
-            ee=None,
-            eo=None,
-            p=None,
-            q=None,
-            k=k,
-            x_p=None,
-            y_p=None,
-            factors=factors,
-            component_count=2,
-            components=components,
-            predicted_value=predicted,
-            verified_value=verified,
-        ),
-        tol,
-        cross_check_limit,
+        s, tol, cross_check_limit, ids, components,
+        case=plan.case, phase_pair=plan.pair, neg_det_atoms=plan.neg.atoms,
+        ee=plan.sums.ee, eo=plan.sums.eo, p=plan.p, q=plan.q, k=plan.p + m * plan.q,
+        x_p=plan.x_p, y_p=plan.y_p, component_count=count, predicted_value=plan.predicted,
     )
 
 
@@ -629,7 +553,7 @@ def _kronecker_value(s: QuantumSystem, w: Witness, tol: Tolerance) -> float:
     z = _kron_form(blocks, v, v)
     # The Frobenius norm of M^(x k) is |M|**k, so this is the slack
     # quantal_measure would allow on the materialized power.
-    if abs(z.imag) > tol.eps_abs + tol.eps_rel * float(np.linalg.norm(s.matrix)) ** k:
+    if abs(z.imag) > tol.slack(float(np.linalg.norm(s.matrix)) ** k):
         raise AxiomViolationError(
             f"measure of the witness event has imaginary residue {z.imag:.3e}; "
             "input not Hermitian"
@@ -637,15 +561,38 @@ def _kronecker_value(s: QuantumSystem, w: Witness, tol: Tolerance) -> float:
     return z.real
 
 
-def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int) -> Witness:
-    """Check the verified value, then cross-check it when s.n**k fits the limit.
+def _finish(
+    s: QuantumSystem,
+    tol: Tolerance,
+    cross_check_limit: int,
+    ids: tuple[int, ...],
+    components: tuple[tuple[int, ...], ...] | None,
+    **fields,
+) -> Witness:
+    """Verify the event's measure over its components, then cross-check it.
 
-    The cross-check evaluates the embedded event against the operator, not
-    the component factorisation, so it stays independent of the double sum
-    that produced the verified value.
+    The factors are the atoms ``ids``, so the factor values are atomic
+    entries.  The measure is the literal double sum up to ORACLE_PAIR_CAP
+    components and the blockwise one of case (b) beyond; it must be real,
+    match the predicted value and be negative.  The cross-check, run when
+    s.n**k fits the limit, evaluates the embedded event against the
+    operator, not the component factorisation, so it stays independent of
+    the double sum that produced the verified value.
     """
-    slack = tol.eps_abs + tol.eps_rel * max(1.0, abs(w.predicted_value))
-    if abs(w.predicted_value - w.verified_value) > slack:
+    values = s.matrix[np.ix_(ids, ids)]
+    if components is not None and len(components) <= ORACLE_PAIR_CAP:
+        verified_c = _double_sum(values, np.array(components, dtype=np.intp))
+    else:
+        verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
+    if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
+        raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
+    w = Witness(
+        factors=tuple(s.atom(i) for i in ids),
+        components=components,
+        verified_value=verified_c.real,
+        **fields,
+    )
+    if abs(w.predicted_value - w.verified_value) > tol.slack(max(1.0, abs(w.predicted_value))):
         raise QmtError(
             f"predicted {w.predicted_value:.12e} and verified {w.verified_value:.12e} "
             "witness values disagree"
@@ -658,7 +605,7 @@ def _finish(s: QuantumSystem, w: Witness, tol: Tolerance, cross_check_limit: int
         return w
     cross_value = _kronecker_value(s, w, tol)
     gap = abs(cross_value - w.verified_value)
-    if gap > tol.eps_abs + tol.eps_rel * max(1.0, abs(w.verified_value)):
+    if gap > tol.slack(max(1.0, abs(w.verified_value))):
         raise QmtError(
             f"Kronecker cross-check {cross_value:.12e} disagrees "
             f"with the component sum {w.verified_value:.12e}"
@@ -714,7 +661,7 @@ def tensor_closed_probe(
     # The slack classify would allow on the composed matrix, whose Frobenius
     # norm is the product of the factors' norms.
     norm = float(np.linalg.norm(s1.matrix) * np.linalg.norm(s2.matrix))
-    slack = tol.eps_abs + tol.eps_rel * norm
+    slack = tol.slack(norm)
     if not (lo < -slack and (abs(entry_value.imag) > slack or entry_value.real < -slack)):
         raise QmtError("composed system unexpectedly fell back into S or P")
     return TensorProbeReport(

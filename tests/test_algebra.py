@@ -168,4 +168,4 @@ class TestEnumeration:
     def test_limit(self):
         with pytest.raises(BruteForceLimitError):
             list(enumerate_events(21))
-        assert len(list(enumerate_events(5, limit=5))) == 32
+        assert len(list(enumerate_events(5))) == 32

@@ -55,9 +55,9 @@ class TestWeakPositivity:
         e = Event.from_indices([0, 3], 4)
         assert eval_D(composed, e, e).real == pytest.approx(-0.4, abs=1e-12)
 
-    def test_limit_guard(self, m_system):
+    def test_limit_guard(self):
         with pytest.raises(BruteForceLimitError):
-            is_weakly_positive(m_system, limit=1)
+            is_weakly_positive(weak_only_above_limit())
 
     def test_agrees_with_per_event_oracle(self):
         rng = np.random.default_rng(5)
@@ -209,8 +209,12 @@ class TestClassify:
         posentry = generate(GenSpec("posentry", 24, 1))
         assert classify(posentry).weakly_positive
         assert generate(GenSpec("strong", 21, 1)).n == 21
-        with pytest.raises(BruteForceLimitError):
-            classify(weak_only_above_limit())
+        # dual(P) => W: Re M >= 0 entrywise, though neither S nor P holds.
+        c = classify(weak_only_above_limit())
+        assert c.weakly_positive and c.weak_violation is None
+        assert c.in_dual_of_posentry and not c.strongly_positive and not c.positive_entry
+        with pytest.raises(BruteForceLimitError, match="n <= 20"):
+            classify(generate(GenSpec("hermitian_only", 21, 1)))
 
     def test_hierarchy_on_generated_systems(self):
         for kind in ("strong", "posentry", "classical", "weak_not_strong_not_posentry"):

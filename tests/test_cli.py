@@ -22,7 +22,7 @@ from qmt.errors import (
     SumRuleViolationError,
 )
 
-from conftest import classical_outside_s, strong_with_a_negative_event, weak_only_above_limit
+from conftest import classical_outside_s, strong_with_a_negative_event
 
 # Exit codes as documented in the cli module docstring and README.
 DOCUMENTED_EXIT_CODES = {
@@ -141,6 +141,12 @@ class TestClassifyCommand:
                 "-o", str(path)]
         assert run(argv, capsys)[0] == 0
         assert len(read_document(path).atoms) == 21
+        code, out, _ = run(["classify", str(path)], capsys)
+        assert code == 0
+        assert "weakly positive:    yes" in out
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert "weakly positive:  yes  [informational]" in out
 
     def test_verify_and_classify_agree_above_the_limit(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -161,9 +167,10 @@ class TestClassifyCommand:
             assert code == 0
             assert "weakly positive:  yes" in out
 
-    def test_weak_only_above_the_limit_exits_4(self, tmp_path, capsys):
-        path = tmp_path / "w.json"
-        write_document(path, SystemDocument.from_system("w", weak_only_above_limit()))
+    def test_above_the_limit_outside_s_and_dual_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "h.json"
+        argv = ["gen", "--kind", "hermitian_only", "--atoms", "21", "--seed", "1", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
         code, _, err = run(["classify", str(path)], capsys)
         assert code == 4
         assert "n <= 20" in err

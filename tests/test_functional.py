@@ -194,10 +194,6 @@ class TestCheckAxioms:
         assert report.weak_violation == ev([0])
         assert report.weak_violation_value == pytest.approx(-0.5)
 
-    def test_weak_check_skippable(self):
-        report = check_axioms(np.eye(2) / 2.0, check_weak=False)
-        assert report.weakly_positive is None
-
     def test_weak_decision_is_classify_s(self):
         systems = [strong_with_a_negative_event(), classical_outside_s()]
         systems += [generate(GenSpec(kind, n, 3)) for kind in KINDS for n in range(2, 9)]
@@ -215,7 +211,8 @@ class TestCheckAxioms:
         n = ENUMERATION_LIMIT + 1
         assert check_axioms(generate(GenSpec("strong", n, 1))).weakly_positive is True
         assert check_axioms(generate(GenSpec("posentry", n, 1))).weakly_positive is True
-        report = check_axioms(weak_only_above_limit(n))
+        assert check_axioms(weak_only_above_limit(n)).weakly_positive is True
+        report = check_axioms(generate(GenSpec("hermitian_only", n, 1)))
         assert report.is_system and report.weakly_positive is None
 
 
@@ -341,7 +338,7 @@ class TestQuantalSumRule:
     def test_larger_system_holds_by_construction(self):
         rng = np.random.default_rng(22)
         s = random_hermitian_system(rng, 10)
-        report = check_quantal_sum_rule(s, exhaustive_limit=8)
+        report = check_quantal_sum_rule(s)
         assert report.passed and not report.exhaustive
         assert report.max_residual == 0.0 and report.worst_triple is None
 

@@ -1,14 +1,14 @@
-"""Derandomised property tests: the event sweep, the W-from-S-or-P rule, documents."""
+"""Derandomised property tests: the event sweep, the W-from-S-or-dual(P) rule, documents."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qmt import GenSpec, classify, generate
 from qmt.documents import dumps, loads
-from qmt.functional import DEFAULT_TOL, event_measures
+from qmt.functional import DEFAULT_TOL, event_measures, first_weak_violation
 
 from conftest import document, oracle_dumps, random_hermitian_system, same_bits
 
@@ -30,18 +30,37 @@ def test_measure_is_the_direct_sum(n, seed, data):
 
 @FIXED
 @given(
-    kind=st.sampled_from(["strong", "posentry", "classical", "hermitian_only"]),
+    kind=st.sampled_from(
+        ["strong", "posentry", "classical", "weak_not_strong_not_posentry", "hermitian_only"]
+    ),
     n=st.integers(1, 10),
     seed=st.integers(0, 10**6),
 )
-def test_s_or_p_implies_weakly_positive(kind, n, seed):
+def test_s_or_dual_implies_weakly_positive(kind, n, seed):
+    assume(n >= 2 or kind != "weak_not_strong_not_posentry")
     s = generate(GenSpec(kind, n, seed))
     c = classify(s)
-    if c.strongly_positive or c.positive_entry:
+    if c.strongly_positive or c.in_dual_of_posentry:
         assert c.weakly_positive and c.weak_violation is None
         assert event_measures(s.matrix).min() >= -DEFAULT_TOL.scaled(s.matrix)
     else:
         assert kind == "hermitian_only"
+
+
+@FIXED
+@given(n=st.integers(1, 10), data=st.data())
+def test_nonnegative_real_part_has_no_weak_violation(n, data):
+    """dual(P) => W, on the sweep itself: with Re M >= 0 entrywise no measure is negative.
+
+    The imaginary part is antisymmetric and arbitrary; it adds nothing to any
+    measure, and the sweep must not let it.
+    """
+    size = st.floats(0.0, 1e6)
+    real = np.array(data.draw(st.lists(size, min_size=n * n, max_size=n * n))).reshape(n, n)
+    anti = np.triu(np.array(data.draw(st.lists(
+        st.floats(-1e6, 1e6), min_size=n * n, max_size=n * n))).reshape(n, n), 1)
+    m = real + 1j * (anti - anti.T)
+    assert first_weak_violation(m, 0.0) is None
 
 
 finite_doubles = st.floats(allow_nan=False, allow_infinity=False)

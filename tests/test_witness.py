@@ -300,6 +300,14 @@ class TestBuildWitness:
         with pytest.raises(QCapError):
             build_witness(weak_only_system, q_cap=1)
 
+    def test_shallow_case_a_falls_through_to_case_b(self):
+        # Zero diagonals select case (a), but at theta = 1e-3 its value
+        # 2 r**k cos(k theta), k = 1571, underflows; case (b) then reports.
+        z = 0.1 * np.exp(1e-3j)
+        s = QuantumSystem([[0.0, z, 0.0], [z.conjugate(), 0.0, 0.0], [0.0, 0.0, 1 - 2 * z.real]])
+        with pytest.raises(QCapError, match="no witness within q"):
+            build_witness(s)
+
     def test_components_are_distinct_product_events(self):
         for seed in (0, 1, 2, 3):
             s = generate(GenSpec("weak_not_strong_not_posentry", 3, seed))
