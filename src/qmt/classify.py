@@ -10,9 +10,9 @@ the classes are closed sets.
 
 ``functional.positivity`` decides every class at once, and ``classify``
 returns its record.  S => W and dual(P) => W are theorems, so the 2**n
-events are swept only for a system in neither S nor dual(P); only such a
-system above ``ENUMERATION_LIMIT`` atoms raises ``BruteForceLimitError``.
-The ``is_*`` functions are single tests, for callers that need one class.
+events are swept only for a system in neither S nor dual(P), and above
+``ENUMERATION_LIMIT`` atoms such a system's W is unknown (None).  The
+``is_*`` functions are single tests, for callers that need one class.
 """
 
 from __future__ import annotations
@@ -84,10 +84,7 @@ def is_in_dual_of_posentry(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> En
 def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Every class membership, as ``functional.positivity`` decides it.
 
-    Raises ``BruteForceLimitError`` where that record leaves W unknown: a
-    system in neither S nor dual(P) above ``ENUMERATION_LIMIT`` atoms.
+    ``weakly_positive`` is None (unknown) for a system in neither S nor
+    dual(P) above ``ENUMERATION_LIMIT`` atoms, where the sweep does not run.
     """
-    c = positivity(s.matrix, tol.scaled(s.matrix))
-    if c.weakly_positive is None:
-        raise BruteForceLimitError(_sweep_limit_message(s.n))
-    return c
+    return positivity(s.matrix, tol.scaled(s.matrix))

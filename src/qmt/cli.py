@@ -1,9 +1,9 @@
 """Command-line front end: classify, compose, witness, probe, gen, verify.
 
 Exit codes: 0 success, 2 parse/usage error (a non-finite number in a
-document included), 3 axiom or sum-rule failure, 4 arity or enumeration
-overflow, 5 construction precondition not met, 6 exponent cap exceeded,
-1 other errors.
+document or probe vector included), 3 axiom or sum-rule failure, 4 arity
+or enumeration overflow, 5 construction precondition not met, 6 exponent
+cap exceeded, 1 other errors.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from .algebra import ENUMERATION_LIMIT
 from .classify import classify, is_strongly_positive
 from .compose import compose
 from .documents import SystemDocument, read_document, write_document
@@ -58,8 +59,8 @@ def _load_system(path, tol):
     return doc, doc.to_system(tol)
 
 
-def _flag(value: bool) -> str:
-    return "yes" if value else "no"
+def _flag(value: bool | None) -> str:
+    return "unknown" if value is None else "yes" if value else "no"
 
 
 def cmd_classify(args) -> int:
@@ -85,7 +86,9 @@ def cmd_classify(args) -> int:
         return EXIT_OK
     print(f"system: {doc.name}  (atoms: {system.n})")
     weak_note = ""
-    if not result.weakly_positive:
+    if result.weakly_positive is None:
+        weak_note = f"  (neither S nor dual(P); the sweep stops at {ENUMERATION_LIMIT} atoms)"
+    elif result.weakly_positive is False:
         names = ", ".join(system.labels[i] for i in result.weak_violation.indices())
         weak_note = f"  (event {{{names}}} has measure {result.weak_violation_value:.9g})"
     print(f"  weakly positive:    {_flag(result.weakly_positive)}{weak_note}")
@@ -192,6 +195,8 @@ def cmd_probe(args) -> int:
             )
         except ValueError as exc:
             raise DocumentError(f"cannot parse probe vector {args.vector!r}: {exc}") from exc
+        if not np.isfinite(v).all():
+            raise DocumentError(f"probe vector {args.vector!r} has a non-finite entry")
         if v.size != system.n:
             raise DocumentError(
                 f"probe vector has {v.size} entries, system has {system.n} atoms"
@@ -248,11 +253,10 @@ def cmd_verify(args) -> int:
     else:
         detail = "by construction"
     print(f"  quantal sum rule: {'pass' if rule.passed else 'FAIL'}  ({detail})")
-    if report.weakly_positive is not None:
-        note = ""
-        if not report.weakly_positive:
-            note = f"  (violating measure {report.weak_violation_value:.9g})"
-        print(f"  weakly positive:  {_flag(report.weakly_positive)}{note}  [informational]")
+    note = ""
+    if report.weakly_positive is False:
+        note = f"  (violating measure {report.weak_violation_value:.9g})"
+    print(f"  weakly positive:  {_flag(report.weakly_positive)}{note}  [informational]")
     return EXIT_OK if rule.passed else EXIT_AXIOM
 
 

@@ -189,9 +189,6 @@ def _sweep_blocks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     c = min(n, SWEEP_LOW_ATOMS)
     v = _bit_rows(0, 1 << c, c)
     mu_low = ((v @ a[:c, :c]) * v).sum(axis=1)
-    if c == n:  # no high atoms: mu_H and the cross term vanish
-        yield 0, mu_low
-        return
     high = 1 << (n - c)
     right = np.concatenate([(a[c:, :c] + a[:c, c:].T) @ v.T, [mu_low, np.ones(1 << c)]])
     for lo in range(0, high, SWEEP_BLOCK_HIGH):

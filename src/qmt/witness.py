@@ -15,6 +15,7 @@ atoms, so the power is never materialized.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -23,10 +24,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
-from .classify import classify, is_positive_entry, is_strongly_positive
+from .classify import _sweep_limit_message, classify, is_positive_entry, is_strongly_positive
 from .compose import _kron_form, self_compose
 from .errors import (
     AxiomViolationError,
+    BruteForceLimitError,
     PreconditionError,
     QCapError,
     QmtError,
@@ -85,44 +87,32 @@ def polar(z: complex, eps: float = 0.0) -> PolarEntry:
     return PolarEntry(r, math.atan2(z.imag, z.real))
 
 
-def _permutations_by_parity(m: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+@functools.cache
+def _permutations_by_parity(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Even and odd permutations of range(m), as cached read-only intp rows."""
     even, odd = [], []
     for perm in itertools.permutations(range(m)):
-        inversions = sum(
-            1
-            for i in range(m)
-            for j in range(i + 1, m)
-            if perm[i] > perm[j]
-        )
+        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
         (even if inversions % 2 == 0 else odd).append(perm)
-    return even, odd
-
-
-def _perm_block_sum(
-    matrix: np.ndarray,
-    rows: Sequence[tuple[int, ...]],
-    cols: Sequence[tuple[int, ...]],
-) -> complex:
-    """Sum over permutation pairs of the entrywise product along slots."""
-    p = np.array(rows, dtype=np.intp)
-    q = np.array(cols, dtype=np.intp)
-    vals = matrix[p[:, None, :], q[None, :, :]]
-    return complex(vals.prod(axis=2).sum())
+    tables = tuple(np.array(perms, dtype=np.intp).reshape(-1, m) for perms in (even, odd))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _perm_block_sums(matrix: np.ndarray) -> tuple[complex, complex, complex, complex]:
     """(even-even, even-odd, odd-even, odd-odd) double permutation sums.
 
-    Each block is enumerated directly; no parity identities are assumed,
-    so these sums can serve as an independent check of those identities.
-    Guarded to orders 2..6: the double sum has (m!/2)**2 terms.
+    Each block sums slot-wise entry products over its permutation pairs,
+    enumerated directly; no parity identities are assumed, so these sums can
+    check those identities.  Guarded to orders 2..6: (m!/2)**2 terms each.
     """
     m = matrix.shape[0]
     if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
         raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
     even, odd = _permutations_by_parity(m)
     blocks = ((even, even), (even, odd), (odd, even), (odd, odd))
-    return tuple(_perm_block_sum(matrix, rows, cols) for rows, cols in blocks)
+    return tuple(complex(matrix[r[:, None], c[None, :]].prod(axis=2).sum()) for r, c in blocks)
 
 
 @dataclass(frozen=True)
@@ -310,14 +300,23 @@ def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
     return total
 
 
-def _neg_cos_candidates(theta: float, hi: int) -> list[int]:
-    # The recipe exponent can be huge for tiny phases; scan a bounded window
-    # and always include the guaranteed exponent itself.
-    n_neg, _ = cos_sign_pair(theta)
-    out = [p for p in range(1, hi + 1) if math.cos(p * theta) < 0.0]
-    if n_neg not in out:
-        out.append(n_neg)
-    return out
+def _exponent_terms(pair: PhasePair, raa: float, rbb: float, q_cap: int) -> tuple[list, list]:
+    """(p, x_p, y_p, cos(p*theta)) rows of a pair, for a non-negative and a negative cosine.
+
+    The first list holds the recipe's one non-negative exponent; the second
+    every p <= q_cap with a negative cosine, plus the recipe's own, which
+    can be huge for tiny phases.
+    """
+    theta = pair.theta
+    n_neg, p_nonneg = cos_sign_pair(theta)
+    negative = [(p, c) for p in range(1, q_cap + 1) if (c := math.cos(p * theta)) < 0.0]
+    if n_neg not in [p for p, _ in negative]:
+        negative.append((n_neg, math.cos(n_neg * theta)))
+
+    def row(p, cos_p):
+        return p, raa**p + rbb**p, 2.0 * pair.modulus**p, cos_p
+
+    return [row(p_nonneg, math.cos(p_nonneg * theta))], [row(*pc) for pc in negative]
 
 
 def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
@@ -339,25 +338,12 @@ def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
     return [item[3] for item in out]
 
 
-class _PlanB(NamedTuple):
-    rank: tuple
-    case: str
-    pair: PhasePair
-    neg: NegDetSubset
-    sums: PermSums
-    p: int
-    q: int
-    x_p: float
-    y_p: float
-    predicted: float
-
-
 def _search_case_b(
     s: QuantumSystem,
     tol: Tolerance,
     pairs: Sequence[PhasePair],
     q_cap: int,
-) -> _PlanB:
+) -> tuple[tuple[int, ...], dict]:
     """Pick subset, phase pair and exponents for the general construction.
 
     All combinations of candidate subsets (canonical order) and phase pairs
@@ -366,7 +352,8 @@ def _search_case_b(
     subcase q grows until the positive term is at most half the negative
     one.  Among feasible plans the one with the fewest event components
     wins, then the smallest power k: any feasible plan proves the point,
-    so the cheapest one to verify is preferred.
+    so the cheapest one to verify is preferred.  Returns the winner's atom
+    ids (phase pair, then subset) and its ``Witness`` fields.
     """
     best = None
     ratios = []
@@ -376,6 +363,7 @@ def _search_case_b(
         (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
         for pr in pairs[:PAIR_SEARCH_LIMIT]
     ]
+    terms = None
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
         ee, eo = sums.ee, sums.eo
@@ -388,19 +376,11 @@ def _search_case_b(
         half = math.factorial(m) // 2
         if eo > 0.0:
             ratios.append(ee / eo)
-        for pi, (pair, (raa, rbb)) in enumerate(zip(pairs, diagonals)):
-            theta = pair.theta
-            if eo <= 0.0:
-                case = "b_i"
-                _, p_nonneg = cos_sign_pair(theta)
-                p_list = [p_nonneg]
-            else:
-                case = "b_ii" if ee <= 0.0 else "b_iii"
-                p_list = _neg_cos_candidates(theta, q_cap)
-            for p in p_list:
-                x_p = raa**p + rbb**p
-                y_p = 2.0 * pair.modulus**p
-                cos_p = math.cos(p * theta)
+        if terms is None:  # once, after the first subset's checks
+            terms = [_exponent_terms(pr, *d, q_cap) for pr, d in zip(pairs, diagonals)]
+        case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
+        for pi, (pair, (nonneg, negative)) in enumerate(zip(pairs, terms)):
+            for p, x_p, y_p, cos_p in nonneg if case == "b_i" else negative:
                 if case == "b_iii":
                     target = 0.5 * y_p * abs(cos_p)
                     ratio = ee / eo
@@ -417,9 +397,13 @@ def _search_case_b(
                 if not predicted < -VALUE_FLOOR:
                     continue
                 rank = (2 * half**q, p + m * q, si, pi, p)
-                plan = _PlanB(rank, case, pair, neg, sums, p, q, x_p, y_p, predicted)
-                if best is None or plan.rank < best.rank:
-                    best = plan
+                if best is None or rank < best[0]:
+                    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+                    best = rank, ids, dict(
+                        case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
+                        p=p, q=q, k=p + m * q, x_p=x_p, y_p=y_p,
+                        component_count=2 * half**q, predicted_value=predicted,
+                    )
     if best is None:
         worst = max(ratios) if ratios else float("nan")
         max_theta = max(abs(pr.theta) for pr in pairs)
@@ -428,7 +412,7 @@ def _search_case_b(
             f"{worst:.9g} and phase magnitude at most {max_theta:.3e} leave no "
             "feasible exponents; raise --qmax"
         )
-    return best
+    return best[1], best[2]
 
 
 def build_witness(
@@ -440,16 +424,19 @@ def build_witness(
 ) -> Witness:
     """Construct and verify a negative-measure event for Sys^(x k).
 
-    Preconditions: the system is weakly positive, not strongly positive,
-    not positive-entry, and has at least two atoms.  Case (a) applies when
-    both phase-pair diagonals vanish and its value is not too shallow for
-    double precision; otherwise case (b) splits on the signs of the
-    permutation sums of the negative-determinant submatrix.
+    Preconditions: the system has at least two atoms and is weakly positive
+    (``BruteForceLimitError`` where that is unknown), not strongly positive
+    and not positive-entry.  Case (a) applies when both phase-pair diagonals
+    vanish and its value is not too shallow for double precision; otherwise
+    case (b) splits on the signs of the permutation sums of the
+    negative-determinant submatrix.
     """
     eps = tol.scaled(s.matrix)
     if s.n < 2:
         raise PreconditionError("witness construction needs at least 2 atoms")
     c = classify(s, tol)
+    if c.weakly_positive is None:
+        raise BruteForceLimitError(_sweep_limit_message(s.n))
     if not c.weakly_positive:
         raise PreconditionError("system is not weakly positive")
     if c.strongly_positive:
@@ -467,51 +454,35 @@ def build_witness(
         if predicted < -VALUE_FLOOR:
             ids = (primary.first.indices()[0], primary.second.indices()[0])
             return _finish(
-                s, tol, cross_check_limit, ids, ((0,) * k, (1,) * k),
+                s, tol, cross_check_limit, ids, np.array([[0] * k, [1] * k], dtype=np.intp),
                 case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
                 p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
                 predicted_value=predicted,
             )
 
-    plan = _search_case_b(s, tol, pairs, q_cap)
-    m = plan.sums.order
-    even, odd = _permutations_by_parity(m)
-    count = 2 * len(even) ** plan.q
+    ids, fields = _search_case_b(s, tol, pairs, q_cap)
     components = None
-    if count <= COMPONENT_LIST_CAP:
-        components = _materialize_components(plan.p, plan.q, m, even, odd)
-        if len(set(components)) != len(components):
-            raise QmtError("witness components are not pairwise distinct")
-    ids = (plan.pair.first.indices()[0], plan.pair.second.indices()[0]) + plan.neg.atoms
-    return _finish(
-        s, tol, cross_check_limit, ids, components,
-        case=plan.case, phase_pair=plan.pair, neg_det_atoms=plan.neg.atoms,
-        ee=plan.sums.ee, eo=plan.sums.eo, p=plan.p, q=plan.q, k=plan.p + m * plan.q,
-        x_p=plan.x_p, y_p=plan.y_p, component_count=count, predicted_value=plan.predicted,
-    )
+    if fields["component_count"] <= COMPONENT_LIST_CAP:
+        components = _materialize_components(fields["p"], fields["q"], len(ids) - 2)
+    return _finish(s, tol, cross_check_limit, ids, components, **fields)
 
 
-def _materialize_components(
-    p: int,
-    q: int,
-    m: int,
-    even: list[tuple[int, ...]],
-    odd: list[tuple[int, ...]],
-) -> tuple[tuple[int, ...], ...]:
-    """Component tuples of factor ids: prefix then q permutation blocks.
+def _materialize_components(p: int, q: int, m: int) -> np.ndarray:
+    """Components as rows of factor ids: prefix then q permutation blocks.
 
     Factor id 0 is the first phase event, 1 the second, 2..m+1 the
     negative-determinant atoms in subset order.  The even prefix comes
     first; within a prefix the blocks run in ``itertools.product`` order.
+    Returns one intp array of shape (2 * (m!/2)**q, p + q*m).
     """
     parts = []
-    for prefix_id, perms in ((0, even), (1, odd)):
+    for prefix_id, perms in enumerate(_permutations_by_parity(m)):
         h = len(perms)
         # Row r of `choice` is the r-th q-tuple of block indices in product order.
         choice = np.indices((h,) * q).reshape(q, -1).T
-        tail = (2 + np.array(perms, dtype=np.intp))[choice].reshape(h**q, q * m)
+        tail = (2 + perms)[choice].reshape(h**q, q * m)
         parts.append(np.hstack([np.full((h**q, p), prefix_id, dtype=np.intp), tail]))
-    return tuple(map(tuple, np.vstack(parts).tolist()))
+    return np.vstack(parts)
 
 
 def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
@@ -531,8 +502,8 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
     return paa * ee_c**q + pbb * oo_c**q + pab * eo_c**q + pba * oe_c**q
 
 
-def _kronecker_value(s: QuantumSystem, w: Witness, tol: Tolerance) -> float:
-    """Measure of the embedded event under M^(x k), by blocked mode products.
+def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> float:
+    """Measure under M^(x k) of the event whose components' k atoms are the rows of ``atoms``.
 
     The k factors are grouped into blocks self_compose(s, j), j the largest
     power with n**j <= KRON_BLOCK_ATOMS, plus one block of the k mod j left
@@ -540,14 +511,13 @@ def _kronecker_value(s: QuantumSystem, w: Witness, tol: Tolerance) -> float:
     the blocks' dimensions.  Blocks amortise the per-axis overhead that k
     separate n x n products would pay, while memory stays O(n**k).
     """
-    n, k = s.n, w.k
+    n, k = s.n, atoms.shape[1]
     j = 1
     while j < k and n ** (j + 1) <= KRON_BLOCK_ATOMS:
         j += 1
     blocks = [self_compose(s, j, tol).matrix] * (k // j)
     if k % j:
         blocks.append(self_compose(s, k % j, tol).matrix)
-    atoms = np.array(w.component_atom_tuples(), dtype=np.intp)
     v = np.zeros(n**k)
     v[np.ravel_multi_index(tuple(atoms.T), (n,) * k)] = 1.0
     z = _kron_form(blocks, v, v)
@@ -566,29 +536,35 @@ def _finish(
     tol: Tolerance,
     cross_check_limit: int,
     ids: tuple[int, ...],
-    components: tuple[tuple[int, ...], ...] | None,
+    components: np.ndarray | None,
     **fields,
 ) -> Witness:
     """Verify the event's measure over its components, then cross-check it.
 
-    The factors are the atoms ``ids``, so the factor values are atomic
-    entries.  The measure is the literal double sum up to ORACLE_PAIR_CAP
-    components and the blockwise one of case (b) beyond; it must be real,
-    match the predicted value and be negative.  The cross-check, run when
-    s.n**k fits the limit, evaluates the embedded event against the
-    operator, not the component factorisation, so it stays independent of
-    the double sum that produced the verified value.
+    ``components`` (factor-id rows, or None past the cap) must be pairwise
+    distinct.  The factors are the atoms ``ids``, so the factor values are
+    atomic entries.  The measure is the literal double sum up to
+    ORACLE_PAIR_CAP components and the blockwise one of case (b) beyond; it
+    must be real, match the predicted value and be negative.  The
+    cross-check, run when s.n**k fits the limit, evaluates the embedded
+    event against the operator, not the component factorisation, so it
+    stays independent of the double sum that produced the verified value.
     """
+    public = None
+    if components is not None:
+        public = tuple(map(tuple, components.tolist()))
+        if len(set(public)) != len(public):
+            raise QmtError("witness components are not pairwise distinct")
     values = s.matrix[np.ix_(ids, ids)]
     if components is not None and len(components) <= ORACLE_PAIR_CAP:
-        verified_c = _double_sum(values, np.array(components, dtype=np.intp))
+        verified_c = _double_sum(values, components)
     else:
         verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
     if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
     w = Witness(
         factors=tuple(s.atom(i) for i in ids),
-        components=components,
+        components=public,
         verified_value=verified_c.real,
         **fields,
     )
@@ -601,9 +577,9 @@ def _finish(
         raise QmtError(
             f"constructed event has non-negative measure {w.verified_value:.3e}"
         )
-    if w.components is None or s.n**w.k > cross_check_limit:
+    if components is None or s.n**w.k > cross_check_limit:
         return w
-    cross_value = _kronecker_value(s, w, tol)
+    cross_value = _kronecker_value(s, np.array(ids, dtype=np.intp)[components], tol)
     gap = abs(cross_value - w.verified_value)
     if gap > tol.slack(max(1.0, abs(w.verified_value))):
         raise QmtError(

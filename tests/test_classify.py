@@ -213,8 +213,10 @@ class TestClassify:
         c = classify(weak_only_above_limit())
         assert c.weakly_positive and c.weak_violation is None
         assert c.in_dual_of_posentry and not c.strongly_positive and not c.positive_entry
-        with pytest.raises(BruteForceLimitError, match="n <= 20"):
-            classify(generate(GenSpec("hermitian_only", 21, 1)))
+        # Neither S nor dual(P): the sweep does not run, so W is unknown.
+        c = classify(generate(GenSpec("hermitian_only", 21, 1)))
+        assert c.weakly_positive is None and c.weak_violation is None
+        assert not c.strongly_positive and not c.in_dual_of_posentry
 
     def test_hierarchy_on_generated_systems(self):
         for kind in ("strong", "posentry", "classical", "weak_not_strong_not_posentry"):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -167,11 +168,26 @@ class TestClassifyCommand:
             assert code == 0
             assert "weakly positive:  yes" in out
 
-    def test_above_the_limit_outside_s_and_dual_exits_4(self, tmp_path, capsys):
+    def test_above_the_limit_outside_s_and_dual_is_unknown(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         argv = ["gen", "--kind", "hermitian_only", "--atoms", "21", "--seed", "1", "-o", str(path)]
         assert run(argv, capsys)[0] == 0
-        code, _, err = run(["classify", str(path)], capsys)
+        code, out, _ = run(["classify", str(path)], capsys)
+        assert code == 0
+        assert (
+            "weakly positive:    unknown  (neither S nor dual(P); the sweep stops at 20 atoms)"
+            in out
+        )
+        code, out, _ = run(["classify", "--json", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"]["weakly_positive"] is None
+        assert payload["weak_violation"] is None
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert "weakly positive:  unknown  [informational]" in out
+        # The witness needs W itself, so it still stops at the sweep limit.
+        code, _, err = run(["witness", str(path)], capsys)
         assert code == 4
         assert "n <= 20" in err
 
@@ -271,6 +287,15 @@ class TestProbeCommand:
             ["probe", doc_path("posentry_not_strong"), "--vector", "1,2,3"], capsys
         )
         assert code == 2
+
+    @pytest.mark.parametrize("vector", ["1,nan", "1e999,1"])
+    def test_non_finite_vector_exits_2(self, doc_path, capsys, vector):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["probe", doc_path("posentry_not_strong"), "--vector", vector]
+            code, _, err = run(argv, capsys)
+        assert code == 2
+        assert err == f"error: probe vector {vector!r} has a non-finite entry\n"
 
     def test_complex_vector_parsing(self, doc_path, capsys):
         code, out, _ = run(

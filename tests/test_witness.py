@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -383,12 +384,36 @@ class TestBuildWitness:
     @pytest.mark.parametrize("p, q, m", [(1, 1, 2), (3, 2, 3), (2, 3, 3), (1, 2, 4)])
     def test_components_match_product_order(self, p, q, m):
         even, odd = _permutations_by_parity(m)
-        expected = tuple(
-            (prefix_id,) * p + tuple(2 + i for perm in choice for i in perm)
-            for prefix_id, perms in ((0, even), (1, odd))
+        expected = [
+            [prefix_id] * p + [2 + i for perm in choice for i in perm]
+            for prefix_id, perms in ((0, even.tolist()), (1, odd.tolist()))
             for choice in itertools.product(perms, repeat=q)
+        ]
+        components = _materialize_components(p, q, m)
+        assert components.dtype == np.intp
+        assert components.tolist() == expected
+
+    def test_plans_pinned(self):
+        # (case, pair atoms, neg_det_atoms, p, q, k, component_count) of each
+        # chosen plan; the digests were recorded before the search was
+        # restructured, so a change to which plan wins shows here.
+        def digest(systems):
+            plans = []
+            for s in systems:
+                w = build_witness(s, cross_check_limit=0)
+                pair = (w.phase_pair.first.indices()[0], w.phase_pair.second.indices()[0])
+                plans.append((w.case, pair, w.neg_det_atoms, w.p, w.q, w.k, w.component_count))
+            return hashlib.sha256(repr(plans).encode()).hexdigest()
+
+        weak = "weak_not_strong_not_posentry"
+        acceptance = (generate(GenSpec(weak, a, i)) for i in range(100) for a in (2, 3))
+        assert digest(acceptance) == (
+            "9ec87115f68ca7403814090a16f3adfc6b5cad095d3bef405b3e2b8f10bfbfa6"
         )
-        assert _materialize_components(p, q, m, even, odd) == expected
+        larger = (generate(GenSpec(weak, a, i)) for a in (4, 5, 6) for i in range(10))
+        assert digest(larger) == (
+            "852ee62a7e2540d23293fd6bdc8839b9a33aa10c69947b835767337d6cfbaa02"
+        )
 
 
 class TestTensorClosedProbe:
