@@ -10,8 +10,10 @@ the classes are closed sets.
 
 ``functional.positivity`` decides every class at once, and ``classify``
 returns its record.  S => W and dual(P) => W are theorems, so the 2**n
-events are swept only for a system in neither S nor dual(P), and above
-``ENUMERATION_LIMIT`` atoms such a system's W is unknown (None).  The
+events are swept only for a system in neither S nor dual(P).  Above
+``ENUMERATION_LIMIT`` atoms only the events of the first
+``ENUMERATION_LIMIT`` atoms are swept: a violator there is the lowest of
+the whole system, and with none such a system's W is unknown (None).  The
 ``is_*`` functions are single tests, for callers that need one class.
 """
 
@@ -85,6 +87,7 @@ def classify(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> Classification:
     """Every class membership, as ``functional.positivity`` decides it.
 
     ``weakly_positive`` is None (unknown) for a system in neither S nor
-    dual(P) above ``ENUMERATION_LIMIT`` atoms, where the sweep does not run.
+    dual(P) above ``ENUMERATION_LIMIT`` atoms whose first
+    ``ENUMERATION_LIMIT`` atoms hold no violating event.
     """
     return positivity(s.matrix, tol.scaled(s.matrix))

@@ -3,13 +3,16 @@
 Exit codes: 0 success, 2 parse/usage error (a non-finite number in a
 document or probe vector included), 3 axiom or sum-rule failure, 4 arity
 or enumeration overflow, 5 construction precondition not met, 6 exponent
-cap exceeded, 1 other errors.
+cap exceeded, 1 other errors.  Standard output closed before the command
+finished writing (``qmt classify --json h.json | head -1``) exits 1 with
+no message.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -87,7 +90,10 @@ def cmd_classify(args) -> int:
     print(f"system: {doc.name}  (atoms: {system.n})")
     weak_note = ""
     if result.weakly_positive is None:
-        weak_note = f"  (neither S nor dual(P); the sweep stops at {ENUMERATION_LIMIT} atoms)"
+        weak_note = (
+            f"  (neither S nor dual(P); no violator on the first {ENUMERATION_LIMIT} atoms,"
+            " where the sweep stops)"
+        )
     elif result.weakly_positive is False:
         names = ", ".join(system.labels[i] for i in result.weak_violation.indices())
         weak_note = f"  (event {{{names}}} has measure {result.weak_violation_value:.9g})"
@@ -335,10 +341,16 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's exit
+        return code
     except QmtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[kind] for kind in type(exc).__mro__ if kind in EXIT_CODES)
+    except BrokenPipeError:
+        # The reader is gone; what is still buffered goes to devnull at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

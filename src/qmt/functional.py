@@ -10,6 +10,7 @@ so non-weakly-positive "quasi-systems" are representable too.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -29,9 +30,11 @@ MEASURE_TABLE_LIMIT = 16
 # The quantal sum rule is tested on all 4**n disjoint triples up to this n.
 SUM_RULE_EXHAUSTIVE_LIMIT = 8
 # The event sweep splits the atoms into at most SWEEP_LOW_ATOMS low atoms and
-# the rest; one block covers SWEEP_BLOCK_HIGH consecutive masks of the rest.
+# the rest; one block covers at most SWEEP_BLOCK_HIGH consecutive masks of the
+# rest.  A block then holds at most 256 KB of measures, which stay in a
+# core's L2 cache while the reduce reads them back.
 SWEEP_LOW_ATOMS = 12
-SWEEP_BLOCK_HIGH = 1 << 8
+SWEEP_BLOCK_HIGH = 1 << 3
 
 
 @dataclass(frozen=True)
@@ -173,28 +176,60 @@ def _bit_rows(lo: int, hi: int, width: int) -> np.ndarray:
     return (np.arange(lo, hi)[:, None] >> np.arange(width) & 1).astype(float)
 
 
+@functools.cache
+def _low_bits() -> np.ndarray:
+    """Read-only 0/1 rows of all low masks, built by the first sweep for all.
+
+    A sweep over c low atoms reads the first 2**c rows and c columns.
+    """
+    v = _bit_rows(0, 1 << SWEEP_LOW_ATOMS, SWEEP_LOW_ATOMS)
+    v.flags.writeable = False
+    return v
+
+
 def _sweep_blocks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (first_mask, values): the measures of all 2**n masks in blocks.
+    """Yield (first_mask, values): the measures of all 2**n masks in mask order.
 
     With A = Re(M) and the atoms split into c low and n - c high ones, mask
     h * 2**c + l has measure mu_H(h) + mu_L(l) + v_H (A_HL + A_LH^T) v_L^T,
-    which equals v^T A v even when A is only nearly symmetric.  A block is
-    one real GEMM [V_H, 1, mu_H] @ [(A_HL + A_LH^T) V_L^T; mu_L; 1] over
-    SWEEP_BLOCK_HIGH high masks; its row-major values are in mask order.
+    which equals v^T A v even when A is only nearly symmetric.  The first
+    block is mu_L alone (high mask 0), yielded before the high atoms'
+    right-hand side is built.  Then each block is one real GEMM
+    [V_H, 1, mu_H] @ [(A_HL + A_LH^T) V_L^T; mu_L; 1] over the high masks
+    [1, 2), [2, 4), [4, 8), ..., at most SWEEP_BLOCK_HIGH of them, so a
+    consumer that stops at a low mask computes little.  A block's row-major
+    values are in mask order.
+    """
+    return _sweep(matrix, None)
+
+
+def _sweep(matrix: np.ndarray, out: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
+    """The blocks of ``_sweep_blocks``, each also written into its slice of ``out``.
+
+    ``event_measures`` passes 2**n doubles, so the GEMMs fill its result in
+    place with no copy; with ``out`` None nothing is written.
     """
     n = matrix.shape[0]
     if n > ENUMERATION_LIMIT:
         raise BruteForceLimitError(f"event sweep over 2**{n} masks exceeds limit")
     a = np.asarray(matrix).real
     c = min(n, SWEEP_LOW_ATOMS)
-    v = _bit_rows(0, 1 << c, c)
+    v = _low_bits()[: 1 << c, :c]
     mu_low = ((v @ a[:c, :c]) * v).sum(axis=1)
+    if out is not None:
+        out[: 1 << c] = mu_low
+    yield 0, mu_low[None, :]
     high = 1 << (n - c)
     right = np.concatenate([(a[c:, :c] + a[:c, c:].T) @ v.T, [mu_low, np.ones(1 << c)]])
-    for lo in range(0, high, SWEEP_BLOCK_HIGH):
-        v = _bit_rows(lo, min(lo + SWEEP_BLOCK_HIGH, high), n - c)
-        mu_high = ((v @ a[c:, c:]) * v).sum(axis=1, keepdims=True)
-        yield lo << c, np.concatenate([v, np.ones_like(mu_high), mu_high], axis=1) @ right
+    v = _bit_rows(0, high, n - c)
+    mu_high = ((v @ a[c:, c:]) * v).sum(axis=1, keepdims=True)
+    left = np.concatenate([v, np.ones_like(mu_high), mu_high], axis=1)
+    lo = 1
+    while lo < high:
+        hi = min(2 * lo, lo + SWEEP_BLOCK_HIGH, high)
+        block = None if out is None else out[lo << c : hi << c].reshape(hi - lo, 1 << c)
+        yield lo << c, np.matmul(left[lo:hi], right, out=block)
+        lo = hi
 
 
 def event_measures(matrix: np.ndarray) -> np.ndarray:
@@ -203,16 +238,21 @@ def event_measures(matrix: np.ndarray) -> np.ndarray:
     Mask v has measure v^T Re(M) v, the bi-additive diagonal value on its
     event.  Raises ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
     """
-    return np.concatenate([values.ravel() for _, values in _sweep_blocks(matrix)])
+    out = np.empty(1 << matrix.shape[0])
+    for _ in _sweep(matrix, out):
+        pass
+    return out
 
 
 def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
     """The lowest-bitmask event with measure below -slack, and that measure.
 
-    Reduces the event sweep block by block (at most 2**20 measures, 8 MB,
-    each) and returns from the first block that holds a candidate.  A
-    candidate counts only when its direct sum Re 1^T M[S,S] 1 is below
-    -slack too; that sum is the returned measure.
+    Reads the sweep's blocks in mask order, the low atoms' 2**c masks first
+    and then high blocks that double in size, and returns from the first
+    block that holds a confirmed candidate; later blocks are never computed.
+    A candidate counts only when its direct sum Re 1^T M[S,S] 1 is below
+    -slack too; that sum is the returned measure.  Raises
+    ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
     """
     for first, values in _sweep_blocks(matrix):
         if values.min() >= -slack:
@@ -316,20 +356,26 @@ def positivity(m: np.ndarray, slack: float) -> Classification:
     S => W is a theorem, and so is dual(P) => W: a measure is the sum of the
     real parts of its event's entries.  dual(P) contains P, so when S or
     dual(P) holds W is reported with no sweep and no violation.  Only
-    otherwise are the 2**n events swept for the lowest-bitmask violator;
-    above ``ENUMERATION_LIMIT`` atoms W is then None (unknown).  Classical
-    also requires S, and one slack makes classical => P => dual(P).
-    ``classify``, ``check_axioms`` and ``gen`` all read this record.
+    otherwise are the events swept for the lowest-bitmask violator.  Above
+    ``ENUMERATION_LIMIT`` atoms the sweep covers the masks below
+    2**ENUMERATION_LIMIT, the events of the first ENUMERATION_LIMIT atoms:
+    a violator there is still the lowest of the whole system, and with none
+    W is None (unknown).  Classical also requires S, and one slack makes
+    classical => P => dual(P).  ``classify``, ``check_axioms`` and ``gen``
+    all read this record.
     """
     strong, entries = _psd_test(m, slack), _entry_scan(m, slack)
+    n = m.shape[0]
     violation, value = None, None
     if strong.ok or entries.dual.ok:
         weak = True
-    elif m.shape[0] > ENUMERATION_LIMIT:
-        weak = None
     else:
-        violation, value = first_weak_violation(m, slack) or (None, None)
-        weak = violation is None
+        k = min(n, ENUMERATION_LIMIT)
+        found = first_weak_violation(m[:k, :k], slack)
+        if found:
+            weak, violation, value = False, Event(found[0].bits, n), found[1]
+        else:
+            weak = None if n > k else True
     return Classification(
         weakly_positive=weak,
         weak_violation=violation,

@@ -342,6 +342,7 @@ def _search_case_b(
     s: QuantumSystem,
     tol: Tolerance,
     pairs: Sequence[PhasePair],
+    primary_measures: tuple[float, float],
     q_cap: int,
 ) -> tuple[tuple[int, ...], dict]:
     """Pick subset, phase pair and exponents for the general construction.
@@ -352,16 +353,18 @@ def _search_case_b(
     subcase q grows until the positive term is at most half the negative
     one.  Among feasible plans the one with the fewest event components
     wins, then the smallest power k: any feasible plan proves the point,
-    so the cheapest one to verify is preferred.  Returns the winner's atom
-    ids (phase pair, then subset) and its ``Witness`` fields.
+    so the cheapest one to verify is preferred.  ``primary_measures`` are
+    the clamped atom measures of ``pairs[0]``, which the caller has already
+    taken.  Returns the winner's atom ids (phase pair, then subset) and its
+    ``Witness`` fields.
     """
     best = None
     ratios = []
     subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
     # Atom measures of each phase pair; they do not depend on the subset.
-    diagonals = [
+    diagonals = [primary_measures] + [
         (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
-        for pr in pairs[:PAIR_SEARCH_LIMIT]
+        for pr in pairs[1:PAIR_SEARCH_LIMIT]
     ]
     terms = None
     for si, neg in enumerate(subsets):
@@ -460,7 +463,7 @@ def build_witness(
                 predicted_value=predicted,
             )
 
-    ids, fields = _search_case_b(s, tol, pairs, q_cap)
+    ids, fields = _search_case_b(s, tol, pairs, (r_aa, r_bb), q_cap)
     components = None
     if fields["component_count"] <= COMPONENT_LIST_CAP:
         components = _materialize_components(fields["p"], fields["q"], len(ids) - 2)

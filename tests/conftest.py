@@ -77,6 +77,17 @@ def classical_outside_s():
     return QuantumSystem(m)
 
 
+def violator_past_the_sweep(n=22):
+    """Outside S and dual(P); its only negative events hold atoms n - 2 and n - 1.
+
+    Above the 20-atom sweep limit no event of the first 20 atoms is
+    negative, so weak positivity stays unknown.
+    """
+    m = np.eye(n)
+    m[n - 2, n - 1] = m[n - 1, n - 2] = -2.0
+    return QuantumSystem(m / m.sum())
+
+
 def weak_only_above_limit(n=21):
     """Positive-entry base plus an imaginary antisymmetric part: in W, not S or P."""
     rng = np.random.default_rng(n)

@@ -25,6 +25,7 @@ from conftest import (
     oracle_weakly_positive,
     random_hermitian_system,
     strong_with_a_negative_event,
+    violator_past_the_sweep,
     weak_only_above_limit,
 )
 
@@ -213,8 +214,15 @@ class TestClassify:
         c = classify(weak_only_above_limit())
         assert c.weakly_positive and c.weak_violation is None
         assert c.in_dual_of_posentry and not c.strongly_positive and not c.positive_entry
-        # Neither S nor dual(P): the sweep does not run, so W is unknown.
-        c = classify(generate(GenSpec("hermitian_only", 21, 1)))
+        # Neither S nor dual(P): the events of the first 20 atoms are swept,
+        # and the lowest violator there is exact for the whole system.
+        s = generate(GenSpec("hermitian_only", 21, 1))
+        c = classify(s)
+        assert c.weakly_positive is False and c.weak_violation == Event.from_indices([3], 21)
+        assert c.weak_violation_value == s.matrix[3, 3].real < 0
+        assert not c.strongly_positive and not c.in_dual_of_posentry
+        # No violator among the first 20 atoms: W is unknown.
+        c = classify(violator_past_the_sweep())
         assert c.weakly_positive is None and c.weak_violation is None
         assert not c.strongly_positive and not c.in_dual_of_posentry
 

@@ -23,7 +23,7 @@ from qmt.errors import (
     SumRuleViolationError,
 )
 
-from conftest import classical_outside_s, strong_with_a_negative_event
+from conftest import classical_outside_s, strong_with_a_negative_event, violator_past_the_sweep
 
 # Exit codes as documented in the cli module docstring and README.
 DOCUMENTED_EXIT_CODES = {
@@ -168,15 +168,34 @@ class TestClassifyCommand:
             assert code == 0
             assert "weakly positive:  yes" in out
 
-    def test_above_the_limit_outside_s_and_dual_is_unknown(self, tmp_path, capsys):
+    def test_above_the_limit_a_violator_on_the_first_20_atoms_is_exact(self, tmp_path, capsys):
         path = tmp_path / "h.json"
         argv = ["gen", "--kind", "hermitian_only", "--atoms", "21", "--seed", "1", "-o", str(path)]
         assert run(argv, capsys)[0] == 0
+        value = read_document(path).matrix[3, 3].real
+        code, out, _ = run(["classify", str(path)], capsys)
+        assert code == 0
+        assert f"weakly positive:    no  (event {{g3}} has measure {value:.9g})" in out
+        code, out, _ = run(["classify", "--json", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["flags"]["weakly_positive"] is False
+        assert payload["weak_violation"] == {"atoms": [3], "value": value}
+        code, out, _ = run(["verify", str(path)], capsys)
+        assert code == 0
+        assert f"weakly positive:  no  (violating measure {value:.9g})  [informational]" in out
+        code, _, err = run(["witness", str(path)], capsys)
+        assert code == 5
+        assert "not weakly positive" in err
+
+    def test_above_the_limit_outside_s_and_dual_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "u.json"
+        write_document(path, SystemDocument.from_system("u", violator_past_the_sweep()))
         code, out, _ = run(["classify", str(path)], capsys)
         assert code == 0
         assert (
-            "weakly positive:    unknown  (neither S nor dual(P); the sweep stops at 20 atoms)"
-            in out
+            "weakly positive:    unknown  (neither S nor dual(P);"
+            " no violator on the first 20 atoms, where the sweep stops)" in out
         )
         code, out, _ = run(["classify", "--json", str(path)], capsys)
         assert code == 0
@@ -186,7 +205,7 @@ class TestClassifyCommand:
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 0
         assert "weakly positive:  unknown  [informational]" in out
-        # The witness needs W itself, so it still stops at the sweep limit.
+        # The witness needs W itself, so it stops at the sweep limit.
         code, _, err = run(["witness", str(path)], capsys)
         assert code == 4
         assert "n <= 20" in err
@@ -428,19 +447,43 @@ class TestErrorExits:
         assert not (tmp_path / "x.json").exists()
 
 
+def child_env():
+    """Environment for a child process that imports the same qmt as this one."""
+    src = str(Path(cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoint:
     def test_console_script_runs(self, tmp_path):
         path = tmp_path / "c.json"
-        # the child imports the same qmt as this process, installed or not
-        src = str(Path(cli.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run(
             [sys.executable, "-m", "qmt.cli", "gen", "--kind", "classical",
              "--atoms", "2", "--seed", "1", "-o", str(path)],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert path.exists()
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_stdout_exits_1_without_a_traceback(self, doc_path, unbuffered):
+        # The reader closes the pipe before the child has written a byte, as
+        # `qmt classify --json doc | head -1` can; unbuffered, the failing
+        # write is print's own, buffered it is the flush at the end of main.
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qmt.cli", "classify", "--json", doc_path("weak_only")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 1
+        assert err == b""

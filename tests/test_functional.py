@@ -31,6 +31,7 @@ from conftest import (
     oracle_event_value,
     random_hermitian_system,
     strong_with_a_negative_event,
+    violator_past_the_sweep,
     weak_only_above_limit,
 )
 
@@ -212,8 +213,17 @@ class TestCheckAxioms:
         assert check_axioms(generate(GenSpec("strong", n, 1))).weakly_positive is True
         assert check_axioms(generate(GenSpec("posentry", n, 1))).weakly_positive is True
         assert check_axioms(weak_only_above_limit(n)).weakly_positive is True
-        report = check_axioms(generate(GenSpec("hermitian_only", n, 1)))
+        # Neither S nor dual(P): the events of the first 20 atoms are swept,
+        # and a violator there is the lowest of the whole system.
+        s = generate(GenSpec("hermitian_only", n, 1))
+        report = check_axioms(s)
+        assert report.is_system and report.weakly_positive is False
+        assert report.weak_violation == Event.from_indices([3], n)
+        assert report.weak_violation_value == s.matrix[3, 3].real < 0
+        # With no violator there, W stays unknown.
+        report = check_axioms(violator_past_the_sweep())
         assert report.is_system and report.weakly_positive is None
+        assert report.weak_violation is None
 
 
 def chunked_sweep(matrix, chunk=1 << 14):
@@ -240,6 +250,26 @@ def nearly_hermitian(rng, n):
 def first_below(mu, slack):
     bad = np.flatnonzero(mu < -slack)
     return int(bad[0]) if bad.size else None
+
+
+def lowest_violator_at(mask, n=20):
+    """n atoms whose lowest-bitmask negative event is ``mask``.
+
+    A single atom gets -1 on the diagonal.  Two atoms are coupled by -2; k > 2
+    atoms pairwise by -c with 1/(k-1) < c < 1/(k-2), so the whole mask is
+    negative and each of its proper subsets is not.  Any lower mask misses
+    an atom of ``mask``, and no other atom is coupled.
+    """
+    atoms = [i for i in range(n) if mask >> i & 1]
+    k = len(atoms)
+    m = np.eye(n)
+    if k == 1:
+        m[atoms[0], atoms[0]] = -1.0
+    else:
+        c = 2.0 if k == 2 else (1 / (k - 1) + 1 / (k - 2)) / 2
+        m[np.ix_(atoms, atoms)] = -c
+        m[atoms, atoms] = 1.0
+    return m / m.sum()
 
 
 def high_block_violator():
@@ -303,6 +333,38 @@ class TestEventSweep:
         assert first_weak_violation(m, 1e-9)[0] == Event(0x3000, 16)
         assert seen == [0, 0x1000, 0x2000, 0x3000]
         assert np.allclose(event_measures(m), chunked_sweep(m), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "mask", [1, (1 << 12) - 1, 1 << 12, (1 << 13) - 1, 1 << 13, (1 << 19) + 1]
+    )
+    def test_lowest_violator_at_a_block_boundary(self, mask):
+        # The first and last masks of the low block and of the high blocks
+        # [1, 2) and [2, 4), and the second mask of the last high block.
+        m = lowest_violator_at(mask)
+        self.assert_matches_oracle(m)
+        assert first_weak_violation(m, functional.DEFAULT_TOL.scaled(m))[0].bits == mask
+
+    def test_blocks_double_in_mask_order(self, monkeypatch):
+        m = np.eye(20) / 20
+        monkeypatch.setattr(functional, "SWEEP_BLOCK_HIGH", 256)
+        firsts = [first for first, _ in functional._sweep_blocks(m)]
+        assert firsts == [0] + [1 << (12 + i) for i in range(8)]
+        monkeypatch.setattr(functional, "SWEEP_BLOCK_HIGH", 4)
+        sizes = [values.shape for _, values in functional._sweep_blocks(m)]
+        assert sizes == [(1, 4096), (1, 4096), (2, 4096)] + [(4, 4096)] * 63
+
+    def test_a_violating_atom_0_computes_the_low_block_alone(self, monkeypatch):
+        seen = []
+        blocks = functional._sweep_blocks
+
+        def counted(matrix):
+            for first, values in blocks(matrix):
+                seen.append(first)
+                yield first, values
+
+        monkeypatch.setattr(functional, "_sweep_blocks", counted)
+        assert first_weak_violation(lowest_violator_at(1), 1e-9)[0] == Event(1, 20)
+        assert seen == [0]
 
     def test_violation_needs_the_direct_sum_too(self, monkeypatch):
         # A blocked value below -slack whose direct sum is not is skipped.
