@@ -14,7 +14,9 @@ events are swept only for a system in neither S nor dual(P).  Above
 ``ENUMERATION_LIMIT`` atoms only the events of the first
 ``ENUMERATION_LIMIT`` atoms are swept: a violator there is the lowest of
 the whole system, and with none such a system's W is unknown (None).  The
-``is_*`` functions are single tests, for callers that need one class.
+``is_*`` functions are single tests, for callers that need one class;
+``is_weakly_positive`` sweeps the same events with no theorem shortcut, and
+raises ``BruteForceLimitError`` where that leaves W unknown.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from .functional import (
     StrongResult,
     Tolerance,
     _entry_scan,
+    _lowest_weak_violation,
     _psd_test,
-    first_weak_violation,
     positivity,
 )
 
@@ -48,11 +50,18 @@ def _sweep_limit_message(n: int) -> str:
 
 
 def is_weakly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> WeakResult:
-    """Sweep all 2**n events; the witness is the first violator by bitmask."""
+    """Sweep the events; the witness is the first violator by bitmask.
+
+    Above ``ENUMERATION_LIMIT`` atoms the events of the first
+    ``ENUMERATION_LIMIT`` atoms are swept, as ``classify`` sweeps them: a
+    violator there is exact, and with none ``BruteForceLimitError`` is raised.
+    """
+    found = _lowest_weak_violation(s.matrix, tol.scaled(s.matrix))
+    if found:
+        return WeakResult(False, *found)
     if s.n > ENUMERATION_LIMIT:
         raise BruteForceLimitError(_sweep_limit_message(s.n))
-    event, value = first_weak_violation(s.matrix, tol.scaled(s.matrix)) or (None, None)
-    return WeakResult(event is None, event, value)
+    return WeakResult(True, None, None)
 
 
 def is_strongly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> StrongResult:

@@ -266,6 +266,20 @@ def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float
     return None
 
 
+def _lowest_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
+    """``first_weak_violation`` over the events of the first ``ENUMERATION_LIMIT`` atoms.
+
+    Those are the masks below 2**ENUMERATION_LIMIT, so a violator there is
+    the lowest-bitmask violator of the whole system; it is returned as an
+    event of all n atoms.  None means no violator among them, which decides
+    W only up to ``ENUMERATION_LIMIT`` atoms.
+    """
+    n = matrix.shape[0]
+    k = min(n, ENUMERATION_LIMIT)
+    found = first_weak_violation(matrix[:k, :k], slack)
+    return found and (Event(found[0].bits, n), found[1])
+
+
 class StrongResult(NamedTuple):
     ok: bool
     min_eigenvalue: float
@@ -370,12 +384,11 @@ def positivity(m: np.ndarray, slack: float) -> Classification:
     if strong.ok or entries.dual.ok:
         weak = True
     else:
-        k = min(n, ENUMERATION_LIMIT)
-        found = first_weak_violation(m[:k, :k], slack)
+        found = _lowest_weak_violation(m, slack)
         if found:
-            weak, violation, value = False, Event(found[0].bits, n), found[1]
+            weak, (violation, value) = False, found
         else:
-            weak = None if n > k else True
+            weak = None if n > ENUMERATION_LIMIT else True
     return Classification(
         weakly_positive=weak,
         weak_violation=violation,

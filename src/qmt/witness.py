@@ -11,6 +11,13 @@ components.  Up to 2**20 composed atoms the value is cross-checked against
 the operator M^(x k) itself: the embedded event's indicator is evaluated
 under the k-fold Kronecker power by mode products on blocks of at most 64
 atoms, so the power is never materialized.
+
+The work is done in arrays.  The exponent plan search is one array pass
+per candidate subset over the exponent rows of all phase pairs; the
+components are built as tuples from cached permutation blocks, and turned
+into an index array only for the literal double sum or the cross-check;
+the literal double sum forms every component pair's slot product, one
+gather per slot.
 """
 
 from __future__ import annotations
@@ -56,10 +63,17 @@ PAIR_SEARCH_LIMIT = 24
 # permutation blocks), which is algebraically identical.
 ORACLE_PAIR_CAP = 2048
 COMPONENT_LIST_CAP = 65536
+# Component pairs whose slot products the literal double sum forms at once.
+DOUBLE_SUM_CELLS = 1 << 17
 # Largest composed atom count n**k the cross-check evaluates, and the largest
 # Kronecker block it materializes on the way.
 CROSS_CHECK_LIMIT = 1 << 20
 KRON_BLOCK_ATOMS = 64
+# Columns of the q table the mixed subcase multiplies out at once.
+Q_CHUNK = 64
+# A row of the plan search's exponent table: pair index, p, x_p, y_p, cos(p*theta).
+EXPONENT_ROW = np.dtype([("pi", np.int64), ("p", np.int64), ("x", float), ("y", float),
+                         ("cos", float)])
 
 
 @dataclass(frozen=True)
@@ -253,8 +267,10 @@ class Witness:
     ``factors`` lists the distinct building-block events; each component of
     the constructed event is a k-tuple of factor ids (index into
     ``factors``), standing for the product event of those factors in slot
-    order.  ``components`` is None when the count exceeds the
-    materialization cap; the verified value is then computed blockwise.
+    order.  ``components`` is a tuple of such tuples, built by concatenating
+    the cached permutation blocks in ``itertools.product`` order; it is None
+    when the count exceeds the materialization cap, and the verified value
+    is then computed blockwise.
     ``cross_checked`` is set when the event's measure was also evaluated
     against the Kronecker power M^(x k), which needs the components and at
     most ``cross_check_limit`` (default 2**20) composed atoms;
@@ -293,10 +309,26 @@ class Witness:
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
-    """Literal double sum over components of slot-wise entry products."""
+    """Literal double sum over component pairs (a, b) of the slot products prod_j values[a_j, b_j].
+
+    For a block of rows a, the products of all pairs are formed in place:
+    one gather of the flattened value table per slot, over blocks of at
+    most DOUBLE_SUM_CELLS pairs.  The row sums are added in row order.  It
+    shares no code with ``_blockwise_value``, which takes over past
+    ORACLE_PAIR_CAP components.
+    """
+    n, k = comps.shape
+    flat = values.ravel()
+    slots = comps.T
+    left = slots * len(values)
+    step = max(1, DOUBLE_SUM_CELLS // n)
     total = 0j
-    for c in comps:
-        total += complex(values[c[None, :], comps].prod(axis=1).sum())
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        prod = flat[left[0, rows, None] + slots[0]]
+        for j in range(1, k):
+            prod *= flat[left[j, rows, None] + slots[j]]
+        total = sum(prod.sum(axis=1).tolist(), total)
     return total
 
 
@@ -338,6 +370,30 @@ def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
     return [item[3] for item in out]
 
 
+def _first_q(xq: np.ndarray, ratio: float, target: np.ndarray, q_cap: int) -> np.ndarray:
+    """Per row, the least q <= q_cap with xq * ratio**(q - 1) <= target, or 0 if none.
+
+    ``np.multiply.accumulate`` over [xq, ratio, ratio, ...] rounds after each
+    factor, as a loop ``xq *= ratio`` does, so q is exact.  At most
+    Q_CHUNK columns are formed at once, and a row leaves once its q is found.
+    """
+    q = np.zeros(len(xq), dtype=np.int64)
+    live = np.arange(len(xq))
+    done, cols = 0, max(q_cap, 1)
+    while live.size and done < cols:
+        # Column r holds row r's sequence, so each step is one vector product.
+        table = np.full((min(Q_CHUNK, cols - done), live.size), ratio)
+        table[0] = xq
+        np.multiply.accumulate(table, axis=0, out=table)
+        hit = ~(table > target[live])
+        found = hit.any(axis=0)
+        q[live[found]] = done + 1 + hit[:, found].argmax(axis=0)
+        xq = table[-1, ~found] * ratio
+        live = live[~found]
+        done += len(table)
+    return q
+
+
 def _search_case_b(
     s: QuantumSystem,
     tol: Tolerance,
@@ -353,20 +409,27 @@ def _search_case_b(
     subcase q grows until the positive term is at most half the negative
     one.  Among feasible plans the one with the fewest event components
     wins, then the smallest power k: any feasible plan proves the point,
-    so the cheapest one to verify is preferred.  ``primary_measures`` are
-    the clamped atom measures of ``pairs[0]``, which the caller has already
-    taken.  Returns the winner's atom ids (phase pair, then subset) and its
-    ``Witness`` fields.
+    so the cheapest one to verify is preferred.
+
+    The exponent rows of all pairs form one table, built once; each subset
+    is one array pass over it: q by ``_first_q``, ee**q and eo**q from
+    tables of Python powers indexed by q, and the subset's winner by
+    ``np.lexsort``.  Subsets are compared by the exact-integer rank
+    (components, k, subset, pair, p).  Each atom's measure is taken once;
+    ``primary_measures`` are the clamped measures of ``pairs[0]``, which
+    the caller has already taken.  Returns the winner's atom ids (phase
+    pair, then subset) and its ``Witness`` fields.
     """
     best = None
     ratios = []
     subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
-    # Atom measures of each phase pair; they do not depend on the subset.
-    diagonals = [primary_measures] + [
-        (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
-        for pr in pairs[1:PAIR_SEARCH_LIMIT]
-    ]
-    terms = None
+    searched = pairs[:PAIR_SEARCH_LIMIT]
+    # Atom measures, keyed by atom event: the pairs share their atoms.
+    measures = dict(zip((pairs[0].first, pairs[0].second), primary_measures))
+    for event in (e for pr in searched[1:] for e in (pr.first, pr.second)):
+        if event not in measures:
+            measures[event] = max(0.0, quantal_measure(s, event, tol))
+    tables = None
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
         ee, eo = sums.ee, sums.eo
@@ -379,34 +442,38 @@ def _search_case_b(
         half = math.factorial(m) // 2
         if eo > 0.0:
             ratios.append(ee / eo)
-        if terms is None:  # once, after the first subset's checks
-            terms = [_exponent_terms(pr, *d, q_cap) for pr, d in zip(pairs, diagonals)]
+        if tables is None:  # once, after the first subset's checks
+            terms = [_exponent_terms(pr, measures[pr.first], measures[pr.second], q_cap)
+                     for pr in searched]
+            tables = [np.array([(pi, *row) for pi, t in enumerate(terms) for row in t[sign]],
+                               dtype=EXPONENT_ROW) for sign in (0, 1)]
         case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
-        for pi, (pair, (nonneg, negative)) in enumerate(zip(pairs, terms)):
-            for p, x_p, y_p, cos_p in nonneg if case == "b_i" else negative:
-                if case == "b_iii":
-                    target = 0.5 * y_p * abs(cos_p)
-                    ratio = ee / eo
-                    xq = x_p * ratio
-                    q = 1
-                    while xq > target and q < q_cap:
-                        xq *= ratio
-                        q += 1
-                    if xq > target:
-                        continue
-                else:
-                    q = 1
-                predicted = x_p * ee**q + y_p * cos_p * eo**q
-                if not predicted < -VALUE_FLOOR:
-                    continue
-                rank = (2 * half**q, p + m * q, si, pi, p)
-                if best is None or rank < best[0]:
-                    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
-                    best = rank, ids, dict(
-                        case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
-                        p=p, q=q, k=p + m * q, x_p=x_p, y_p=y_p,
-                        component_count=2 * half**q, predicted_value=predicted,
-                    )
+        rows = tables[case != "b_i"]
+        x, yc = rows["x"], rows["y"] * rows["cos"]
+        if case == "b_iii":
+            ratio = ee / eo
+            q = _first_q(x * ratio, ratio, 0.5 * rows["y"] * np.abs(rows["cos"]), q_cap)
+        else:
+            q = np.ones(len(rows), dtype=np.int64)
+        powers = range(int(q.max()) + 1)
+        ee_q, eo_q = np.array([ee**j for j in powers]), np.array([eo**j for j in powers])
+        predicted = x * ee_q[q] + yc * eo_q[q]
+        ok = np.flatnonzero((q > 0) & (predicted < -VALUE_FLOOR))
+        if not ok.size:
+            continue
+        k = rows["p"] + m * q
+        keys = [rows["p"][ok], rows["pi"][ok], k[ok]] + ([q[ok]] if half > 1 else [])
+        w = ok[np.lexsort(keys)[0]]
+        qw, kw, pi, p = (int(col[w]) for col in (q, k, rows["pi"], rows["p"]))
+        rank = (2 * half**qw, kw, si, pi, p)
+        if best is None or rank < best[0]:
+            pair = searched[pi]
+            ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+            best = rank, ids, dict(
+                case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
+                p=p, q=qw, k=kw, x_p=float(x[w]), y_p=float(rows["y"][w]),
+                component_count=2 * half**qw, predicted_value=float(predicted[w]),
+            )
     if best is None:
         worst = max(ratios) if ratios else float("nan")
         max_theta = max(abs(pr.theta) for pr in pairs)
@@ -457,7 +524,7 @@ def build_witness(
         if predicted < -VALUE_FLOOR:
             ids = (primary.first.indices()[0], primary.second.indices()[0])
             return _finish(
-                s, tol, cross_check_limit, ids, np.array([[0] * k, [1] * k], dtype=np.intp),
+                s, tol, cross_check_limit, ids, ((0,) * k, (1,) * k),
                 case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
                 p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
                 predicted_value=predicted,
@@ -470,22 +537,29 @@ def build_witness(
     return _finish(s, tol, cross_check_limit, ids, components, **fields)
 
 
-def _materialize_components(p: int, q: int, m: int) -> np.ndarray:
-    """Components as rows of factor ids: prefix then q permutation blocks.
+@functools.cache
+def _perm_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Even and odd permutations of range(m) as tuples of factor ids 2..m+1."""
+    return tuple(tuple(tuple(2 + i for i in perm) for perm in perms.tolist())
+                 for perms in _permutations_by_parity(m))
+
+
+def _materialize_components(p: int, q: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Components as tuples of factor ids: prefix then q permutation blocks.
 
     Factor id 0 is the first phase event, 1 the second, 2..m+1 the
     negative-determinant atoms in subset order.  The even prefix comes
     first; within a prefix the blocks run in ``itertools.product`` order.
-    Returns one intp array of shape (2 * (m!/2)**q, p + q*m).
+    Each component is the prefix tuple concatenated with q cached block
+    tuples; there are 2 * (m!/2)**q of them, each of length p + q*m.
     """
-    parts = []
-    for prefix_id, perms in enumerate(_permutations_by_parity(m)):
-        h = len(perms)
-        # Row r of `choice` is the r-th q-tuple of block indices in product order.
-        choice = np.indices((h,) * q).reshape(q, -1).T
-        tail = (2 + perms)[choice].reshape(h**q, q * m)
-        parts.append(np.hstack([np.full((h**q, p), prefix_id, dtype=np.intp), tail]))
-    return np.vstack(parts)
+    out = []
+    for prefix_id, blocks in enumerate(_perm_blocks(m)):
+        heads = [(prefix_id,) * p]
+        for _ in range(q):
+            heads = [head + block for head in heads for block in blocks]
+        out += heads
+    return tuple(out)
 
 
 def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
@@ -539,35 +613,38 @@ def _finish(
     tol: Tolerance,
     cross_check_limit: int,
     ids: tuple[int, ...],
-    components: np.ndarray | None,
+    components: tuple[tuple[int, ...], ...] | None,
     **fields,
 ) -> Witness:
     """Verify the event's measure over its components, then cross-check it.
 
-    ``components`` (factor-id rows, or None past the cap) must be pairwise
-    distinct.  The factors are the atoms ``ids``, so the factor values are
-    atomic entries.  The measure is the literal double sum up to
+    ``components`` (factor-id tuples, or None past the cap) must be pairwise
+    distinct; they become an index array only for the literal double sum or
+    the cross-check.  The factors are the atoms ``ids``, so the factor values
+    are atomic entries.  The measure is the literal double sum up to
     ORACLE_PAIR_CAP components and the blockwise one of case (b) beyond; it
     must be real, match the predicted value and be negative.  The
     cross-check, run when s.n**k fits the limit, evaluates the embedded
     event against the operator, not the component factorisation, so it
     stays independent of the double sum that produced the verified value.
     """
-    public = None
-    if components is not None:
-        public = tuple(map(tuple, components.tolist()))
-        if len(set(public)) != len(public):
-            raise QmtError("witness components are not pairwise distinct")
+    if components is not None and len(set(components)) != len(components):
+        raise QmtError("witness components are not pairwise distinct")
+    literal = components is not None and len(components) <= ORACLE_PAIR_CAP
+    cross = components is not None and s.n ** fields["k"] <= cross_check_limit
+    if literal or cross:
+        comps = np.fromiter(itertools.chain.from_iterable(components), dtype=np.intp,
+                            count=len(components) * fields["k"]).reshape(len(components), -1)
     values = s.matrix[np.ix_(ids, ids)]
-    if components is not None and len(components) <= ORACLE_PAIR_CAP:
-        verified_c = _double_sum(values, components)
+    if literal:
+        verified_c = _double_sum(values, comps)
     else:
         verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
     if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
     w = Witness(
         factors=tuple(s.atom(i) for i in ids),
-        components=public,
+        components=components,
         verified_value=verified_c.real,
         **fields,
     )
@@ -580,9 +657,9 @@ def _finish(
         raise QmtError(
             f"constructed event has non-negative measure {w.verified_value:.3e}"
         )
-    if components is None or s.n**w.k > cross_check_limit:
+    if not cross:
         return w
-    cross_value = _kronecker_value(s, np.array(ids, dtype=np.intp)[components], tol)
+    cross_value = _kronecker_value(s, np.array(ids, dtype=np.intp)[comps], tol)
     gap = abs(cross_value - w.verified_value)
     if gap > tol.slack(max(1.0, abs(w.verified_value))):
         raise QmtError(

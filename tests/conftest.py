@@ -17,6 +17,16 @@ from qmt import (
     classify,
     eval_D,
     generate,
+    perm_sums,
+    quantal_measure,
+)
+from qmt.errors import QCapError, QmtError
+from qmt.witness import (
+    PAIR_SEARCH_LIMIT,
+    SUBSET_SEARCH_LIMIT,
+    VALUE_FLOOR,
+    _exponent_terms,
+    _neg_det_candidates,
 )
 
 # Reference 2-atom systems used throughout: one strongly positive with a
@@ -215,3 +225,76 @@ def same_bits(a, b):
 def document(matrix, name="m"):
     n = len(matrix)
     return SystemDocument(name, tuple(f"a{i}" for i in range(n)), np.asarray(matrix), {})
+
+
+# ---------------------------------------------------------------------------
+# Witness oracles: the plan search as a scalar loop over subset x pair x p x q,
+# and the literal double sum as one gather per component row, which the
+# array versions in qmt.witness must match.
+
+
+def oracle_search_case_b(s, tol, pairs, primary_measures, q_cap):
+    best = None
+    ratios = []
+    subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
+    diagonals = [primary_measures] + [
+        (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
+        for pr in pairs[1:PAIR_SEARCH_LIMIT]
+    ]
+    terms = None
+    for si, neg in enumerate(subsets):
+        sums = perm_sums(neg.submatrix, tol)
+        ee, eo = sums.ee, sums.eo
+        if ee >= eo:
+            raise QmtError(
+                f"negative determinant {neg.det:.3e} but ee={ee:.6g} >= eo={eo:.6g}; "
+                "permutation sums are inconsistent"
+            )
+        m = sums.order
+        half = math.factorial(m) // 2
+        if eo > 0.0:
+            ratios.append(ee / eo)
+        if terms is None:
+            terms = [_exponent_terms(pr, *d, q_cap) for pr, d in zip(pairs, diagonals)]
+        case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
+        for pi, (pair, (nonneg, negative)) in enumerate(zip(pairs, terms)):
+            for p, x_p, y_p, cos_p in nonneg if case == "b_i" else negative:
+                if case == "b_iii":
+                    target = 0.5 * y_p * abs(cos_p)
+                    ratio = ee / eo
+                    xq = x_p * ratio
+                    q = 1
+                    while xq > target and q < q_cap:
+                        xq *= ratio
+                        q += 1
+                    if xq > target:
+                        continue
+                else:
+                    q = 1
+                predicted = x_p * ee**q + y_p * cos_p * eo**q
+                if not predicted < -VALUE_FLOOR:
+                    continue
+                rank = (2 * half**q, p + m * q, si, pi, p)
+                if best is None or rank < best[0]:
+                    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+                    best = rank, ids, dict(
+                        case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
+                        p=p, q=q, k=p + m * q, x_p=x_p, y_p=y_p,
+                        component_count=2 * half**q, predicted_value=predicted,
+                    )
+    if best is None:
+        worst = max(ratios) if ratios else float("nan")
+        max_theta = max(abs(pr.theta) for pr in pairs)
+        raise QCapError(
+            f"no witness within q <= {q_cap}: even-even/even-odd ratio up to "
+            f"{worst:.9g} and phase magnitude at most {max_theta:.3e} leave no "
+            "feasible exponents; raise --qmax"
+        )
+    return best[1], best[2]
+
+
+def oracle_double_sum(values, comps):
+    total = 0j
+    for c in comps:
+        total += complex(values[c[None, :], comps].prod(axis=1).sum())
+    return total

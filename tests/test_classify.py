@@ -59,6 +59,16 @@ class TestWeakPositivity:
     def test_limit_guard(self):
         with pytest.raises(BruteForceLimitError):
             is_weakly_positive(weak_only_above_limit())
+        with pytest.raises(BruteForceLimitError):
+            is_weakly_positive(violator_past_the_sweep())
+
+    def test_violator_on_the_first_twenty_atoms_above_the_limit(self):
+        s = generate(GenSpec("hermitian_only", 21, 1))
+        result = is_weakly_positive(s)
+        c = classify(s)
+        assert not result.ok and result.violation == c.weak_violation
+        assert result.violation == Event.from_indices([3], 21)
+        assert result.value == c.weak_violation_value == pytest.approx(-0.0208094, abs=1e-7)
 
     def test_agrees_with_per_event_oracle(self):
         rng = np.random.default_rng(5)

@@ -412,6 +412,13 @@ class TestErrorExits:
         assert got == code
         assert err == "error: boom\n"
 
+    def test_parser_is_built_once(self, doc_path, monkeypatch, capsys):
+        path = doc_path("weak_only")
+        assert run(["classify", path], capsys)[0] == 0
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        assert run(["classify", path], capsys)[0] == 0
+        assert run(["witness", path], capsys)[0] == 0
+
     @pytest.mark.parametrize("command", ["classify", "probe", "verify", "witness", "compose"])
     @pytest.mark.parametrize(
         "entry",

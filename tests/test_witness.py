@@ -25,16 +25,28 @@ from qmt import (
     tensor_closed_probe,
 )
 from qmt.errors import PreconditionError, QCapError, SearchExhaustedError
+from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
     CROSS_CHECK_LIMIT,
+    ORACLE_PAIR_CAP,
     VALUE_FLOOR,
+    _double_sum,
     _materialize_components,
+    _pair_candidates,
     _perm_block_sums,
     _permutations_by_parity,
+    _search_case_b,
     polar,
 )
 
-from conftest import gen_posentry_not_strong, gen_strong_not_posentry
+from conftest import (
+    gen_posentry_not_strong,
+    gen_strong_not_posentry,
+    oracle_double_sum,
+    oracle_search_case_b,
+)
+
+WEAK = "weak_not_strong_not_posentry"
 
 
 def random_hermitian(rng, m):
@@ -389,9 +401,7 @@ class TestBuildWitness:
             for prefix_id, perms in ((0, even.tolist()), (1, odd.tolist()))
             for choice in itertools.product(perms, repeat=q)
         ]
-        components = _materialize_components(p, q, m)
-        assert components.dtype == np.intp
-        assert components.tolist() == expected
+        assert _materialize_components(p, q, m) == tuple(map(tuple, expected))
 
     def test_plans_pinned(self):
         # (case, pair atoms, neg_det_atoms, p, q, k, component_count) of each
@@ -414,6 +424,54 @@ class TestBuildWitness:
         assert digest(larger) == (
             "852ee62a7e2540d23293fd6bdc8839b9a33aa10c69947b835767337d6cfbaa02"
         )
+
+
+class TestArrayPaths:
+    """The array plan search and double sum against their scalar-loop oracles."""
+
+    SYSTEMS = [(a, i) for i in range(100) for a in (2, 3)] + [
+        (a, i) for a in (4, 5, 6) for i in range(10)
+    ]
+
+    @staticmethod
+    def search(search, s, q_cap):
+        pairs = _pair_candidates(s, DEFAULT_TOL)
+        primary = tuple(max(0.0, quantal_measure(s, e)) for e in (pairs[0].first, pairs[0].second))
+        try:
+            return search(s, DEFAULT_TOL, pairs, primary, q_cap)
+        except QCapError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("q_cap", [1, 3, 8, 20, 64, 200])
+    def test_plan_search_matches_the_loop(self, q_cap):
+        for atoms, seed in self.SYSTEMS:
+            s = generate(GenSpec(WEAK, atoms, seed))
+            got = self.search(_search_case_b, s, q_cap)
+            want = self.search(oracle_search_case_b, s, q_cap)
+            assert got == want, (atoms, seed)
+            if not isinstance(want, str):
+                fields = ("x_p", "y_p", "predicted_value")
+                assert [got[1][f].hex() for f in fields] == [want[1][f].hex() for f in fields]
+
+    def test_double_sum_matches_the_row_loop(self):
+        checked = 0
+        for atoms, seed in self.SYSTEMS[:200]:
+            s = generate(GenSpec(WEAK, atoms, seed))
+            w = build_witness(s, cross_check_limit=0)
+            if w.component_count > ORACLE_PAIR_CAP:
+                continue
+            ids = [f.indices()[0] for f in w.factors]
+            values = s.matrix[np.ix_(ids, ids)]
+            comps = np.array(w.components, dtype=np.intp)
+            want = oracle_double_sum(values, comps)
+            assert abs(_double_sum(values, comps) - want) <= 1e-14 * abs(want), (atoms, seed)
+            checked += 1
+        assert checked > 150
+
+    def test_large_component_tuple(self):
+        w = build_witness(generate(GenSpec(WEAK, 3, 46)))
+        assert w.component_count == len(set(w.components)) == 39366
+        assert not w.cross_checked  # 3**30 composed atoms
 
 
 class TestTensorClosedProbe:
