@@ -65,10 +65,12 @@ def is_weakly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> WeakRe
 
 
 def is_strongly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> StrongResult:
-    """PSD test via Hermitian eigendecomposition.
+    """PSD test: lambda_min >= -slack, lambda_min from ``eigvalsh``.
 
-    The most-negative eigenpair is returned either way; the eigenvector
-    doubles as a probe vector for the self-duality construction.
+    It is the same ``eigvalsh`` call ``classify`` makes, so both decide S
+    bit for bit alike.  One ``eigh`` then supplies a unit eigenvector for
+    the smallest eigenvalue, returned either way as the probe vector of
+    the self-duality construction; ``classify`` computes none.
     """
     return _psd_test(s.matrix, tol.scaled(s.matrix))
 

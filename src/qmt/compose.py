@@ -43,17 +43,16 @@ def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) 
             f"composed arity {s1.n * s2.n} exceeds materialization limit "
             f"{MATERIALIZATION_LIMIT}"
         )
-    matrix = np.kron(s1.matrix, s2.matrix)
-    meta = {"composed_of": [s1.metadata.get("name", "?"), s2.metadata.get("name", "?")],
-            "factor_arities": [s1.n, s2.n]}
-    labels = tuple(f"({a},{b})" for a in s1.labels for b in s2.labels)
-    norm = float(np.linalg.norm(s1.matrix)) * float(np.linalg.norm(s2.matrix))
-    product = _KronProduct(matrix, tol.slack(norm))
-    return QuantumSystem(product, labels, tol=tol, metadata=meta)
+    return _kron_system(s1.matrix, s1.labels, s1.metadata.get("name", "?"), s2, tol)
 
 
 def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
-    """k-fold Kronecker power of a system."""
+    """k-fold Kronecker power of a system: ``compose(compose(s, s), s)`` and so on.
+
+    The power is one chain of ``np.kron`` and one system construction, with
+    the matrix, labels and metadata that k - 1 ``compose`` calls would give
+    and the entry-sum check and slack of the last of them.
+    """
     if k < 1:
         raise ValueError(f"power k must be >= 1, got {k}")
     if s.n**k > MATERIALIZATION_LIMIT:
@@ -61,10 +60,27 @@ def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> Quan
             f"arity {s.n}**{k} exceeds materialization limit {MATERIALIZATION_LIMIT}; "
             "use factored evaluation instead"
         )
-    out = s
-    for _ in range(k - 1):
-        out = compose(out, s, tol)
-    return out
+    if k == 1:
+        return s
+    matrix, labels = s.matrix, s.labels
+    for _ in range(k - 2):
+        matrix, labels = np.kron(matrix, s.matrix), _pair_labels(labels, s.labels)
+    name = s.metadata.get("name", "?") if k == 2 else "?"
+    return _kron_system(matrix, labels, name, s, tol)
+
+
+def _pair_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
+    return tuple(f"({a},{b})" for a in first for b in second)
+
+
+def _kron_system(matrix: np.ndarray, labels: Sequence[str], name: str,
+                 s: QuantumSystem, tol: Tolerance) -> QuantumSystem:
+    """The system ``compose`` makes from a first factor with these parts and ``s``."""
+    meta = {"composed_of": [name, s.metadata.get("name", "?")],
+            "factor_arities": [matrix.shape[0], s.n]}
+    norm = float(np.linalg.norm(matrix)) * float(np.linalg.norm(s.matrix))
+    product = _KronProduct(np.kron(matrix, s.matrix), tol.slack(norm))
+    return QuantumSystem(product, _pair_labels(labels, s.labels), tol=tol, metadata=meta)
 
 
 def _check_disjoint(rects: Sequence[ProductRectangle], what: str) -> None:

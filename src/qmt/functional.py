@@ -30,9 +30,11 @@ MEASURE_TABLE_LIMIT = 16
 # The quantal sum rule is tested on all 4**n disjoint triples up to this n.
 SUM_RULE_EXHAUSTIVE_LIMIT = 8
 # The event sweep splits the atoms into at most SWEEP_LOW_ATOMS low atoms and
-# the rest; one block covers at most SWEEP_BLOCK_HIGH consecutive masks of the
-# rest.  A block then holds at most 256 KB of measures, which stay in a
-# core's L2 cache while the reduce reads them back.
+# the rest.  The low atoms' masks come in doubling blocks from [0, 2), so a
+# violator at mask 1 costs two measures; after them one block covers at most
+# SWEEP_BLOCK_HIGH consecutive masks of the rest.  A block then holds at most
+# 256 KB of measures, which stay in a core's L2 cache while the reduce reads
+# them back.
 SWEEP_LOW_ATOMS = 12
 SWEEP_BLOCK_HIGH = 1 << 3
 
@@ -192,13 +194,18 @@ def _sweep_blocks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 
     With A = Re(M) and the atoms split into c low and n - c high ones, mask
     h * 2**c + l has measure mu_H(h) + mu_L(l) + v_H (A_HL + A_LH^T) v_L^T,
-    which equals v^T A v even when A is only nearly symmetric.  The first
-    block is mu_L alone (high mask 0), yielded before the high atoms'
-    right-hand side is built.  Then each block is one real GEMM
+    which equals v^T A v even when A is only nearly symmetric.  The low
+    masks (high mask 0) come first, in doubling blocks [0, 2), [2, 4),
+    [4, 8), ..., [2**(c-1), 2**c).  Block [2**j, 2**(j+1)) adds atom j to
+    the masks l of the block before it:
+    mu_L(2**j + l) = mu_L(l) + A_jj + (A_j,<j + A_<j,j^T) v_l, one
+    matrix-vector product, so a single atom's measure is its diagonal entry
+    exactly.  Only then is the high atoms' right-hand side built, from the
+    whole of mu_L, and each later block is one real GEMM
     [V_H, 1, mu_H] @ [(A_HL + A_LH^T) V_L^T; mu_L; 1] over the high masks
-    [1, 2), [2, 4), [4, 8), ..., at most SWEEP_BLOCK_HIGH of them, so a
-    consumer that stops at a low mask computes little.  A block's row-major
-    values are in mask order.
+    [1, 2), [2, 4), [4, 8), ..., at most SWEEP_BLOCK_HIGH of them.  So a
+    consumer that stops at mask 1 has computed two measures.  Every block
+    is 2-D and its row-major values are in mask order.
     """
     return _sweep(matrix, None)
 
@@ -206,8 +213,9 @@ def _sweep_blocks(matrix: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
 def _sweep(matrix: np.ndarray, out: np.ndarray | None) -> Iterator[tuple[int, np.ndarray]]:
     """The blocks of ``_sweep_blocks``, each also written into its slice of ``out``.
 
-    ``event_measures`` passes 2**n doubles, so the GEMMs fill its result in
-    place with no copy; with ``out`` None nothing is written.
+    ``event_measures`` passes 2**n doubles, so the blocks fill its result in
+    place with no copy; with ``out`` None the low blocks fill a buffer of
+    their own and nothing else is written.
     """
     n = matrix.shape[0]
     if n > ENUMERATION_LIMIT:
@@ -215,11 +223,19 @@ def _sweep(matrix: np.ndarray, out: np.ndarray | None) -> Iterator[tuple[int, np
     a = np.asarray(matrix).real
     c = min(n, SWEEP_LOW_ATOMS)
     v = _low_bits()[: 1 << c, :c]
-    mu_low = ((v @ a[:c, :c]) * v).sum(axis=1)
-    if out is not None:
-        out[: 1 << c] = mu_low
-    yield 0, mu_low[None, :]
+    pair_sums = a[:c, :c] + a[:c, :c].T
+    mu_low = np.empty(1 << c) if out is None else out[: 1 << c]
+    mu_low[:2] = 0.0, a[0, 0]
+    yield 0, mu_low[None, :2]
+    for j in range(1, c):
+        h = 1 << j
+        added = np.matmul(v[:h, :j], pair_sums[j, :j], out=mu_low[h : 2 * h])
+        added += mu_low[:h]
+        added += a[j, j]
+        yield h, added[None, :]
     high = 1 << (n - c)
+    if high == 1:
+        return
     right = np.concatenate([(a[c:, :c] + a[:c, c:].T) @ v.T, [mu_low, np.ones(1 << c)]])
     v = _bit_rows(0, high, n - c)
     mu_high = ((v @ a[c:, c:]) * v).sum(axis=1, keepdims=True)
@@ -247,9 +263,10 @@ def event_measures(matrix: np.ndarray) -> np.ndarray:
 def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
     """The lowest-bitmask event with measure below -slack, and that measure.
 
-    Reads the sweep's blocks in mask order, the low atoms' 2**c masks first
-    and then high blocks that double in size, and returns from the first
-    block that holds a confirmed candidate; later blocks are never computed.
+    Reads the sweep's blocks in mask order, the low atoms' 2**c masks in
+    doubling blocks from [0, 2) and then high blocks that double in size
+    too, and returns from the first block that holds a confirmed
+    candidate; later blocks are never computed.
     A candidate counts only when its direct sum Re 1^T M[S,S] 1 is below
     -slack too; that sum is the returned measure.  Raises
     ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
@@ -299,14 +316,27 @@ class _Entries(NamedTuple):
     diagonal: bool
 
 
-def _psd_test(m: np.ndarray, slack: float) -> StrongResult:
-    """Smallest eigenpair of a Hermitian matrix; ok when the eigenvalue is >= -slack."""
+def _lapack(routine, m: np.ndarray):
+    """``routine(m)``, a LAPACK failure raised as a ``QmtError``."""
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(m)
+        return routine(m)
     except np.linalg.LinAlgError as exc:
         raise QmtError(f"eigendecomposition failed: {exc}") from exc
-    lo = float(eigenvalues[0])
-    vec = eigenvectors[:, 0].copy()
+
+
+def _min_eigenvalue(m: np.ndarray) -> float:
+    """Smallest eigenvalue of a Hermitian matrix, from ``eigvalsh``: no eigenvectors."""
+    return float(_lapack(np.linalg.eigvalsh, m)[0])
+
+
+def _psd_test(m: np.ndarray, slack: float) -> StrongResult:
+    """Smallest eigenpair of a Hermitian matrix; ok when the eigenvalue is >= -slack.
+
+    The eigenvalue is ``_min_eigenvalue``'s, so S is decided here bit for
+    bit as ``positivity`` decides it; ``eigh`` only supplies its eigenvector.
+    """
+    lo = _min_eigenvalue(m)
+    vec = _lapack(np.linalg.eigh, m)[1][:, 0].copy()
     vec.flags.writeable = False
     return StrongResult(lo >= -slack, lo, vec)
 
@@ -345,7 +375,6 @@ class Classification:
     weak_violation_value: float | None
     strongly_positive: bool
     min_eigenvalue: float
-    min_eigenvector: np.ndarray
     positive_entry: bool
     entry_violation: tuple[int, int] | None
     classical: bool
@@ -365,7 +394,10 @@ class Classification:
 
 
 def positivity(m: np.ndarray, slack: float) -> Classification:
-    """Every class membership of a Hermitian matrix, from one eigh and one entry scan.
+    """Every class membership of a Hermitian matrix, from one eigvalsh and one entry scan.
+
+    S is lambda_min >= -slack, and lambda_min comes from ``eigvalsh``: no
+    eigenvector is computed, since nothing in the record needs one.
 
     S => W is a theorem, and so is dual(P) => W: a measure is the sum of the
     real parts of its event's entries.  dual(P) contains P, so when S or
@@ -378,10 +410,11 @@ def positivity(m: np.ndarray, slack: float) -> Classification:
     classical => P => dual(P).  ``classify``, ``check_axioms`` and ``gen``
     all read this record.
     """
-    strong, entries = _psd_test(m, slack), _entry_scan(m, slack)
+    min_eigenvalue, entries = _min_eigenvalue(m), _entry_scan(m, slack)
+    strong = min_eigenvalue >= -slack
     n = m.shape[0]
     violation, value = None, None
-    if strong.ok or entries.dual.ok:
+    if strong or entries.dual.ok:
         weak = True
     else:
         found = _lowest_weak_violation(m, slack)
@@ -393,12 +426,11 @@ def positivity(m: np.ndarray, slack: float) -> Classification:
         weakly_positive=weak,
         weak_violation=violation,
         weak_violation_value=value,
-        strongly_positive=strong.ok,
-        min_eigenvalue=strong.min_eigenvalue,
-        min_eigenvector=strong.eigenvector,
+        strongly_positive=strong,
+        min_eigenvalue=min_eigenvalue,
         positive_entry=entries.positive_entry.ok,
         entry_violation=entries.positive_entry.index,
-        classical=entries.diagonal and strong.ok,
+        classical=entries.diagonal and strong,
         in_dual_of_posentry=entries.dual.ok,
         dual_violation=entries.dual.index,
         real_symmetric=entries.real_symmetric,
@@ -474,7 +506,7 @@ def check_axioms(matrix, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     by construction in the atomic representation, so it is reported as such
     rather than re-tested.  Weak positivity of a Hermitian matrix is read
     from ``positivity``, the record ``classify`` returns: by theorem when S
-    or dual(P) holds (which costs an eigendecomposition), else by the sweep,
+    or dual(P) holds (which costs one ``eigvalsh``), else by the sweep,
     and unknown (None) above ``ENUMERATION_LIMIT`` atoms.
     """
     m, report = _matrix_axioms(

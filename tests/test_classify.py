@@ -7,6 +7,7 @@ from qmt import (
     Event,
     GenSpec,
     QuantumSystem,
+    check_axioms,
     classify,
     compose,
     eval_D,
@@ -18,6 +19,8 @@ from qmt import (
     is_weakly_positive,
 )
 from qmt.errors import BruteForceLimitError
+from qmt.functional import DEFAULT_TOL
+from qmt.gen import KINDS
 
 from conftest import (
     classical_outside_s,
@@ -120,6 +123,38 @@ class TestStrongPositivity:
         result = is_strongly_positive(QuantumSystem(m))
         assert result.min_eigenvalue < 0
         assert result.ok
+
+
+def generated_systems(sizes):
+    for n in sizes:
+        for kind in KINDS:
+            if kind == "weak_not_strong_not_posentry" and n < 2:
+                continue
+            yield generate(GenSpec(kind, n, 700 + n))
+
+
+class TestEigenPath:
+    def test_positivity_computes_no_eigenvectors(self, monkeypatch):
+        systems = list(generated_systems((1, 2, 7, 20)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: pytest.fail("eigh called"))
+        for s in systems:
+            c = classify(s)
+            assert c.strongly_positive == (c.min_eigenvalue >= -DEFAULT_TOL.scaled(s.matrix))
+            assert check_axioms(s).weakly_positive == c.weakly_positive
+
+    def test_classify_and_the_psd_test_share_lambda_min(self):
+        for s in generated_systems(range(1, 21)):
+            strong = is_strongly_positive(s)
+            c = classify(s)
+            # The same eigvalsh call: equal bit for bit, and so is S.
+            assert c.min_eigenvalue == strong.min_eigenvalue
+            assert c.strongly_positive == strong.ok
+            norm = np.linalg.norm(s.matrix)
+            assert abs(c.min_eigenvalue - np.linalg.eigh(s.matrix)[0][0]) <= 1e-12 * norm
+            v = strong.eigenvector
+            assert abs(np.linalg.norm(v) - 1) <= 1e-12
+            residual = s.matrix @ v - strong.min_eigenvalue * v
+            assert np.linalg.norm(residual) <= 1e-12 * norm
 
 
 class TestPositiveEntry:

@@ -331,15 +331,18 @@ class TestEventSweep:
         monkeypatch.setattr(functional, "_sweep_blocks", counted)
         m = high_block_violator()
         assert first_weak_violation(m, 1e-9)[0] == Event(0x3000, 16)
-        assert seen == [0, 0x1000, 0x2000, 0x3000]
+        assert seen == [0] + [1 << i for i in range(1, 12)] + [0x1000, 0x2000, 0x3000]
         assert np.allclose(event_measures(m), chunked_sweep(m), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "mask", [1, (1 << 12) - 1, 1 << 12, (1 << 13) - 1, 1 << 13, (1 << 19) + 1]
+        "mask",
+        [1, 2, 3, 4, 7, 8, (1 << 11) - 1, 1 << 11, (1 << 12) - 1, 1 << 12,
+         (1 << 13) - 1, 1 << 13, (1 << 19) + 1],
     )
     def test_lowest_violator_at_a_block_boundary(self, mask):
-        # The first and last masks of the low block and of the high blocks
-        # [1, 2) and [2, 4), and the second mask of the last high block.
+        # The first and last masks of the low blocks [0, 2), [2, 4), [4, 8),
+        # [2**11, 2**12) and of the high blocks [1, 2) and [2, 4), and the
+        # second mask of the last high block.
         m = lowest_violator_at(mask)
         self.assert_matches_oracle(m)
         assert first_weak_violation(m, functional.DEFAULT_TOL.scaled(m))[0].bits == mask
@@ -348,10 +351,17 @@ class TestEventSweep:
         m = np.eye(20) / 20
         monkeypatch.setattr(functional, "SWEEP_BLOCK_HIGH", 256)
         firsts = [first for first, _ in functional._sweep_blocks(m)]
-        assert firsts == [0] + [1 << (12 + i) for i in range(8)]
+        low = [0] + [1 << i for i in range(1, 12)]
+        assert firsts == low + [1 << (12 + i) for i in range(8)]
         monkeypatch.setattr(functional, "SWEEP_BLOCK_HIGH", 4)
         sizes = [values.shape for _, values in functional._sweep_blocks(m)]
-        assert sizes == [(1, 4096), (1, 4096), (2, 4096)] + [(4, 4096)] * 63
+        low = [(1, 2)] + [(1, 1 << i) for i in range(1, 12)]
+        assert sizes == low + [(1, 4096), (2, 4096)] + [(4, 4096)] * 63
+        # With no high atoms the low blocks are the whole sweep.
+        blocks = list(functional._sweep_blocks(np.eye(5) / 5))
+        assert [first for first, _ in blocks] == [0, 2, 4, 8, 16]
+        assert [values.shape for _, values in blocks] == [(1, 2), (1, 2), (1, 4), (1, 8), (1, 16)]
+        assert [values.shape for _, values in functional._sweep_blocks(np.eye(1))] == [(1, 2)]
 
     def test_a_violating_atom_0_computes_the_low_block_alone(self, monkeypatch):
         seen = []
@@ -370,14 +380,18 @@ class TestEventSweep:
         # A blocked value below -slack whose direct sum is not is skipped.
         m = high_block_violator()
         blocks = functional._sweep_blocks
+        poked = []
 
         def shifted(matrix):
             for first, values in blocks(matrix):
-                values[0, 5] = -1.0
+                if values.shape[1] > 5:
+                    values[0, 5] = -1.0
+                    poked.append(first + 5)
                 yield first, values
 
         monkeypatch.setattr(functional, "_sweep_blocks", shifted)
         assert first_weak_violation(m, 1e-9)[0] == Event(0x3000, 16)
+        assert poked == [(1 << i) + 5 for i in range(3, 12)] + [0x1005, 0x2005]
 
     def test_limit(self):
         with pytest.raises(BruteForceLimitError):
