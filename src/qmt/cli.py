@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="self-composition negative-measure witness")
     p.add_argument("path")
-    p.add_argument("--qmax", type=int, default=64, help="cap on the q exponent (default 64)")
+    p.add_argument("--qmax", type=int, default=64, help="cap on the q exponent, >= 1 (default 64)")
     p.add_argument("--json", action="store_true")
     add_common(p)
 
@@ -334,6 +334,8 @@ def _parse_args(argv):
         args.tol = Tolerance(eps_abs=args.eps, eps_rel=args.eps)
         if args.command == "gen":
             args.spec = GenSpec(kind=args.kind, atoms=args.atoms, seed=args.seed)
+        if args.command == "witness" and args.qmax < 1:
+            raise ValueError(f"--qmax must be at least 1, got {args.qmax}")
     except ValueError as exc:
         parser.error(str(exc))
     return args

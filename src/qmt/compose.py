@@ -49,7 +49,7 @@ def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) 
 def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
     """k-fold Kronecker power of a system: ``compose(compose(s, s), s)`` and so on.
 
-    The power is one chain of ``np.kron`` and one system construction, with
+    The power is one chain of ``_kron`` and one system construction, with
     the matrix, labels and metadata that k - 1 ``compose`` calls would give
     and the entry-sum check and slack of the last of them.
     """
@@ -64,9 +64,15 @@ def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> Quan
         return s
     matrix, labels = s.matrix, s.labels
     for _ in range(k - 2):
-        matrix, labels = np.kron(matrix, s.matrix), _pair_labels(labels, s.labels)
+        matrix, labels = _kron(matrix, s.matrix), _pair_labels(labels, s.labels)
     name = s.metadata.get("name", "?") if k == 2 else "?"
     return _kron_system(matrix, labels, name, s, tol)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` as one broadcast product, with the same bytes and less overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _pair_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]:
@@ -79,7 +85,7 @@ def _kron_system(matrix: np.ndarray, labels: Sequence[str], name: str,
     meta = {"composed_of": [name, s.metadata.get("name", "?")],
             "factor_arities": [matrix.shape[0], s.n]}
     norm = float(np.linalg.norm(matrix)) * float(np.linalg.norm(s.matrix))
-    product = _KronProduct(np.kron(matrix, s.matrix), tol.slack(norm))
+    product = _KronProduct(_kron(matrix, s.matrix), tol.slack(norm))
     return QuantumSystem(product, _pair_labels(labels, s.labels), tol=tol, metadata=meta)
 
 
@@ -124,13 +130,14 @@ def _kron_form(blocks: Sequence[np.ndarray], x: np.ndarray, y: np.ndarray) -> co
     significant as in the pair-index convention, and each block is applied
     along its own axis: the vec-trick of Van Loan, "The ubiquitous Kronecker
     product", J. Comput. Appl. Math. 123 (2000).  Each step contracts the
-    leading axis and appends the block's row axis last, so after r steps the
-    axes are back in order.  Memory is O(N) and time O(N * sum d_i) for
-    N = prod d_i, against O(N**2) for both with the product materialized.
+    leading axis and appends the block's row axis last, one ``matmul`` on
+    the transposed (d, N/d) view, so after r steps the axes are back in
+    order.  Memory is O(N) and time O(N * sum d_i) for N = prod d_i,
+    against O(N**2) for both with the product materialized.
     """
-    t = np.asarray(y).reshape([b.shape[1] for b in blocks])
+    t = np.asarray(y)
     for b in blocks:
-        t = np.tensordot(t, b, axes=([0], [1]))
+        t = t.reshape(b.shape[1], -1).T @ b.T
     return complex(np.dot(x, t.reshape(-1)))
 
 

@@ -12,12 +12,13 @@ the operator M^(x k) itself: the embedded event's indicator is evaluated
 under the k-fold Kronecker power by mode products on blocks of at most 64
 atoms, so the power is never materialized.
 
-The work is done in arrays.  The exponent plan search is one array pass
-per candidate subset over the exponent rows of all phase pairs; the
-components are built as tuples from cached permutation blocks, and turned
-into an index array only for the literal double sum or the cross-check;
-the literal double sum forms every component pair's slot product, one
-gather per slot.
+The work is done in arrays.  The exponent plan search is bounded: one
+array pass over the exponent rows of the phase pairs (twin pairs once)
+for each candidate subset whose least possible plan rank can still win,
+scanning q only until no larger q can; the components are built as
+tuples from cached permutation blocks, and turned into an index array
+only for the literal double sum or the cross-check; the literal double
+sum forms every component pair's slot product, one gather per slot.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ DOUBLE_SUM_CELLS = 1 << 17
 # Kronecker block it materializes on the way.
 CROSS_CHECK_LIMIT = 1 << 20
 KRON_BLOCK_ATOMS = 64
-# Columns of the q table the mixed subcase multiplies out at once.
-Q_CHUNK = 64
 # A row of the plan search's exponent table: pair index, p, x_p, y_p, cos(p*theta).
 EXPONENT_ROW = np.dtype([("pi", np.int64), ("p", np.int64), ("x", float), ("y", float),
                          ("cos", float)])
@@ -337,9 +336,10 @@ def _exponent_terms(pair: PhasePair, raa: float, rbb: float, q_cap: int) -> tupl
 
     The first list holds the recipe's one non-negative exponent; the second
     every p <= q_cap with a negative cosine, plus the recipe's own, which
-    can be huge for tiny phases.
+    can be huge for tiny phases.  The cosines are taken at |theta|, so a
+    pair's twin (j, i), of opposite phase, gets the same rows bit for bit.
     """
-    theta = pair.theta
+    theta = abs(pair.theta)
     n_neg, p_nonneg = cos_sign_pair(theta)
     negative = [(p, c) for p in range(1, q_cap + 1) if (c := math.cos(p * theta)) < 0.0]
     if n_neg not in [p for p, _ in negative]:
@@ -370,28 +370,46 @@ def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
     return [item[3] for item in out]
 
 
-def _first_q(xq: np.ndarray, ratio: float, target: np.ndarray, q_cap: int) -> np.ndarray:
-    """Per row, the least q <= q_cap with xq * ratio**(q - 1) <= target, or 0 if none.
+def _first_q(x: np.ndarray, yc: np.ndarray, p: np.ndarray, sums: PermSums,
+             target: np.ndarray, q_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the least q <= q_cap with x * ratio**q <= target (ratio = ee/eo), and its value.
 
-    ``np.multiply.accumulate`` over [xq, ratio, ratio, ...] rounds after each
-    factor, as a loop ``xq *= ratio`` does, so q is exact.  At most
-    Q_CHUNK columns are formed at once, and a row leaves once its q is found.
+    q is 0 where there is none.  Columns come in doubling chunks, each the
+    one before times ratio by ``np.multiply``, which rounds as a loop
+    ``xq *= ratio`` does, so q is exact.  The scan stops when no live row
+    can win: for m!/2 > 1 after a chunk with a feasible hit (value below
+    -VALUE_FLOOR), as a larger q has more components; for m = 2 a row
+    leaves once its least k, p + 2 (done + 1), exceeds the least feasible k
+    so far (equal k is decided on pair and p).
     """
-    q = np.zeros(len(xq), dtype=np.int64)
-    live = np.arange(len(xq))
-    done, cols = 0, max(q_cap, 1)
-    while live.size and done < cols:
-        # Column r holds row r's sequence, so each step is one vector product.
-        table = np.full((min(Q_CHUNK, cols - done), live.size), ratio)
-        table[0] = xq
-        np.multiply.accumulate(table, axis=0, out=table)
+    ee, eo, m = sums.ee, sums.eo, sums.order
+    ratio = ee / eo
+    q, predicted = np.zeros(len(x), dtype=np.int64), np.zeros(len(x))
+    live, col = np.arange(len(x)), x * ratio
+    ee_q, eo_q = [1.0], [1.0]
+    done, width, best_k = 0, 1, math.inf
+    while live.size and done < q_cap:
+        table = np.empty((min(width, q_cap - done), live.size))
+        table[0] = col
+        for i in range(1, len(table)):
+            np.multiply(table[i - 1], ratio, out=table[i])
+        done, width = done + len(table), 2 * width
         hit = ~(table > target[live])
         found = hit.any(axis=0)
-        q[live[found]] = done + 1 + hit[:, found].argmax(axis=0)
-        xq = table[-1, ~found] * ratio
-        live = live[~found]
-        done += len(table)
-    return q
+        rows = live[found]
+        q[rows] = qr = done + 1 - len(table) + hit[:, found].argmax(axis=0)
+        ee_q += [ee**j for j in range(len(ee_q), done + 1)]
+        eo_q += [eo**j for j in range(len(eo_q), done + 1)]
+        predicted[rows] = x[rows] * np.array(ee_q)[qr] + yc[rows] * np.array(eo_q)[qr]
+        feasible = predicted[rows] < -VALUE_FLOOR
+        if feasible.any():
+            if m > 2:
+                break
+            best_k = min(best_k, int((p[rows] + m * qr)[feasible].min()))
+        live, col = live[~found], table[-1, ~found] * ratio
+        keep = p[live] + m * (done + 1) <= best_k
+        live, col = live[keep], col[keep]
+    return q, predicted
 
 
 def _search_case_b(
@@ -403,19 +421,23 @@ def _search_case_b(
 ) -> tuple[tuple[int, ...], dict]:
     """Pick subset, phase pair and exponents for the general construction.
 
-    All combinations of candidate subsets (canonical order) and phase pairs
-    are planned; the exponent p must make cos(p*theta) non-negative
-    (even-odd sum non-positive) or negative (otherwise), and in the mixed
-    subcase q grows until the positive term is at most half the negative
-    one.  Among feasible plans the one with the fewest event components
-    wins, then the smallest power k: any feasible plan proves the point,
-    so the cheapest one to verify is preferred.
+    Candidate subsets (canonical order) are combined with phase pairs; the
+    exponent p must make cos(p*theta) non-negative (even-odd sum
+    non-positive) or negative (otherwise), and in the mixed subcase q grows
+    until the positive term is at most half the negative one.  Among
+    feasible plans the one with the fewest event components wins, then the
+    smallest power k: any feasible plan proves the point, so the cheapest
+    one to verify is preferred.
 
-    The exponent rows of all pairs form one table, built once; each subset
-    is one array pass over it: q by ``_first_q``, ee**q and eo**q from
-    tables of Python powers indexed by q, and the subset's winner by
-    ``np.lexsort``.  Subsets are compared by the exact-integer rank
-    (components, k, subset, pair, p).  Each atom's measure is taken once;
+    The search is bounded and returns the plan the full search would, by
+    the exact-integer rank (components, k, subset, pair, p).  The exponent
+    rows of the pairs form one table, built once, without pairs whose rows
+    equal an earlier pair's (a twin (j, i) of the same |theta|, modulus and
+    atom measures), since those lose every tie.  Every subset's permutation
+    sums are taken and checked, but a subset of size m whose least rank
+    (2 (m!/2), m + 1, subset) is not below the best so far gets no array
+    pass over the table.  A pass scans q by ``_first_q`` and picks the
+    subset's winner by ``np.lexsort``.  Each atom's measure is taken once;
     ``primary_measures`` are the clamped measures of ``pairs[0]``, which
     the caller has already taken.  Returns the winner's atom ids (phase
     pair, then subset) and its ``Witness`` fields.
@@ -442,22 +464,25 @@ def _search_case_b(
         half = math.factorial(m) // 2
         if eo > 0.0:
             ratios.append(ee / eo)
+        if best is not None and (2 * half, m + 1, si) >= best[0]:
+            continue
         if tables is None:  # once, after the first subset's checks
-            terms = [_exponent_terms(pr, measures[pr.first], measures[pr.second], q_cap)
-                     for pr in searched]
-            tables = [np.array([(pi, *row) for pi, t in enumerate(terms) for row in t[sign]],
+            terms = {}
+            for pi, pr in enumerate(searched):
+                r = (measures[pr.first], measures[pr.second])
+                key = (abs(pr.theta), pr.modulus, min(r), max(r))
+                if key not in terms:
+                    terms[key] = pi, _exponent_terms(pr, *r, q_cap)
+            tables = [np.array([(pi, *row) for pi, t in terms.values() for row in t[sign]],
                                dtype=EXPONENT_ROW) for sign in (0, 1)]
         case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
         rows = tables[case != "b_i"]
         x, yc = rows["x"], rows["y"] * rows["cos"]
         if case == "b_iii":
-            ratio = ee / eo
-            q = _first_q(x * ratio, ratio, 0.5 * rows["y"] * np.abs(rows["cos"]), q_cap)
+            target = 0.5 * rows["y"] * np.abs(rows["cos"])
+            q, predicted = _first_q(x, yc, rows["p"], sums, target, q_cap)
         else:
-            q = np.ones(len(rows), dtype=np.int64)
-        powers = range(int(q.max()) + 1)
-        ee_q, eo_q = np.array([ee**j for j in powers]), np.array([eo**j for j in powers])
-        predicted = x * ee_q[q] + yc * eo_q[q]
+            q, predicted = np.ones(len(rows), dtype=np.int64), x * ee + yc * eo
         ok = np.flatnonzero((q > 0) & (predicted < -VALUE_FLOOR))
         if not ok.size:
             continue
@@ -499,8 +524,10 @@ def build_witness(
     and not positive-entry.  Case (a) applies when both phase-pair diagonals
     vanish and its value is not too shallow for double precision; otherwise
     case (b) splits on the signs of the permutation sums of the
-    negative-determinant submatrix.
+    negative-determinant submatrix.  ``q_cap`` must be at least 1.
     """
+    if q_cap < 1:
+        raise ValueError(f"q_cap must be >= 1, got {q_cap}")
     eps = tol.scaled(s.matrix)
     if s.n < 2:
         raise PreconditionError("witness construction needs at least 2 atoms")

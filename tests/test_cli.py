@@ -442,8 +442,12 @@ class TestErrorExits:
             ["gen", "--kind", "strong", "--atoms", "0", "--seed", "1", "-o", "x.json"],
             ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "1", "--seed", "1",
              "-o", "x.json"],
+            ["witness", "x.json", "--qmax", "0"],
+            ["witness", "x.json", "--qmax", "-1"],
+            ["witness", "x.json", "--qmax", "2.5"],
         ],
-        ids=["negative-eps", "nan-eps", "zero-atoms", "one-atom-weak-only"],
+        ids=["negative-eps", "nan-eps", "zero-atoms", "one-atom-weak-only", "zero-qmax",
+             "negative-qmax", "fractional-qmax"],
     )
     def test_usage_error_exits_2(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)

@@ -13,7 +13,7 @@ from qmt import (
     rectangle_cover,
     self_compose,
 )
-from qmt.compose import _kron_form
+from qmt.compose import _kron, _kron_form
 from qmt.errors import AxiomViolationError, BruteForceLimitError
 
 from conftest import random_hermitian_system
@@ -235,3 +235,32 @@ class TestKronForm:
         x = rng.standard_normal(full.shape[0])
         y = rng.standard_normal(full.shape[1])
         assert _kron_form(blocks, x, y) == pytest.approx(x @ full @ y, rel=1e-12)
+
+    def test_matches_the_tensordot_contraction(self):
+        def reference(blocks, x, y):
+            t = np.asarray(y).reshape([b.shape[1] for b in blocks])
+            for b in blocks:
+                t = np.tensordot(t, b, axes=([0], [1]))
+            return complex(np.dot(x, t.reshape(-1)))
+
+        rng = np.random.default_rng(11)
+        for shapes in ([(3, 3)], [(2, 3), (4, 1), (3, 5)], [(4, 4)] * 5, [(1, 1), (6, 2)]):
+            blocks = [rng.standard_normal(sh) + 1j * rng.standard_normal(sh) for sh in shapes]
+            x = rng.standard_normal(int(np.prod([sh[0] for sh in shapes])))
+            y = rng.standard_normal(int(np.prod([sh[1] for sh in shapes])))
+            want = reference(blocks, x, y)
+            assert abs(_kron_form(blocks, x, y) - want) <= 1e-13 * abs(want), shapes
+
+
+class TestKron:
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((3, 3), (4, 4)), ((8, 8), (8, 8)), ((2, 5), (3, 1)), ((1, 4), (3, 2)),
+        ((1, 1), (1, 1)), ((1, 1), (3, 3)), ((3, 3), (1, 1)),
+    ])
+    def test_equals_np_kron_bit_for_bit(self, a_shape, b_shape):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(a_shape) + 1j * rng.standard_normal(a_shape)
+        b = rng.standard_normal(b_shape) + 1j * rng.standard_normal(b_shape)
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

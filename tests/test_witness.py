@@ -24,14 +24,26 @@ from qmt import (
     self_compose,
     tensor_closed_probe,
 )
-from qmt.errors import PreconditionError, QCapError, SearchExhaustedError
+from qmt import witness
+from qmt.errors import (
+    AxiomViolationError,
+    PreconditionError,
+    QCapError,
+    QmtError,
+    SearchExhaustedError,
+)
 from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
     CROSS_CHECK_LIMIT,
     ORACLE_PAIR_CAP,
+    SUBSET_SEARCH_LIMIT,
     VALUE_FLOOR,
+    PermSums,
+    PhasePair,
     _double_sum,
+    _exponent_terms,
     _materialize_components,
+    _neg_det_candidates,
     _pair_candidates,
     _perm_block_sums,
     _permutations_by_parity,
@@ -313,6 +325,44 @@ class TestBuildWitness:
         with pytest.raises(QCapError):
             build_witness(weak_only_system, q_cap=1)
 
+    @pytest.mark.parametrize("q_cap", [0, -1])
+    def test_q_cap_below_one_is_rejected(self, q_cap):
+        # a cap below 1 once returned a q = 1 plan (p 2, k 4) for this system
+        with pytest.raises(ValueError, match="q_cap must be >= 1"):
+            build_witness(generate(GenSpec(WEAK, 2, 0)), q_cap=q_cap)
+
+    @pytest.mark.parametrize("fault", ["ee_not_below_eo", "imaginary_residue"])
+    def test_subsets_past_the_winner_keep_their_checks(self, monkeypatch, fault):
+        # The 6-atom seed-8 plan comes from the first of 24 subsets, so the
+        # search bounds skip the exponent pass of the other 23; each must
+        # still have its permutation sums checked.
+        s = generate(GenSpec(WEAK, 6, 8))
+        subsets = list(_neg_det_candidates(s, DEFAULT_TOL, SUBSET_SEARCH_LIMIT))
+        assert len(subsets) == SUBSET_SEARCH_LIMIT
+        assert build_witness(s, cross_check_limit=0).neg_det_atoms == subsets[0].atoms
+        last = subsets[-1].submatrix
+        real_sums, real_blocks = witness.perm_sums, witness._perm_block_sums
+
+        def is_last(matrix):
+            return matrix.shape == last.shape and np.array_equal(matrix, last)
+
+        def sums(matrix, tol=DEFAULT_TOL):
+            got = real_sums(matrix, tol)
+            return PermSums(got.eo, got.eo, got.order) if is_last(matrix) else got
+
+        def blocks(matrix):
+            ee, eo, oe, oo = real_blocks(matrix)
+            return (ee + 1j, eo, oe, oo) if is_last(matrix) else (ee, eo, oe, oo)
+
+        if fault == "ee_not_below_eo":
+            monkeypatch.setattr(witness, "perm_sums", sums)
+            with pytest.raises(QmtError, match="permutation sums are inconsistent"):
+                build_witness(s)
+        else:
+            monkeypatch.setattr(witness, "_perm_block_sums", blocks)
+            with pytest.raises(AxiomViolationError, match="imaginary residues"):
+                build_witness(s)
+
     def test_shallow_case_a_falls_through_to_case_b(self):
         # Zero diagonals select case (a), but at theta = 1e-3 its value
         # 2 r**k cos(k theta), k = 1571, underflows; case (b) then reports.
@@ -434,15 +484,15 @@ class TestArrayPaths:
     ]
 
     @staticmethod
-    def search(search, s, q_cap):
-        pairs = _pair_candidates(s, DEFAULT_TOL)
+    def search(search, s, q_cap, pairs=None):
+        pairs = pairs or _pair_candidates(s, DEFAULT_TOL)
         primary = tuple(max(0.0, quantal_measure(s, e)) for e in (pairs[0].first, pairs[0].second))
         try:
             return search(s, DEFAULT_TOL, pairs, primary, q_cap)
         except QCapError as exc:
             return str(exc)
 
-    @pytest.mark.parametrize("q_cap", [1, 3, 8, 20, 64, 200])
+    @pytest.mark.parametrize("q_cap", [1, 2, 3, 8, 20, 64, 200])
     def test_plan_search_matches_the_loop(self, q_cap):
         for atoms, seed in self.SYSTEMS:
             s = generate(GenSpec(WEAK, atoms, seed))
@@ -452,6 +502,61 @@ class TestArrayPaths:
             if not isinstance(want, str):
                 fields = ("x_p", "y_p", "predicted_value")
                 assert [got[1][f].hex() for f in fields] == [want[1][f].hex() for f in fields]
+
+    def test_plan_search_matches_the_loop_on_synthetic_pairs(self):
+        # Random phases and moduli over the atoms of generated systems reach
+        # plans the generated pairs do not, such as one of k = m + 1 that
+        # beats an earlier subset's; half the pairs repeat an earlier pair's
+        # modulus and opposite phase on other atoms, with other measures.
+        for atoms in (3, 4):
+            for seed in range(50):
+                s = generate(GenSpec(WEAK, atoms, seed))
+                rng = np.random.default_rng(seed)
+                for _ in range(4):
+                    pairs = []
+                    for _ in range(6):
+                        i, j = (int(a) for a in rng.choice(atoms, 2, replace=False))
+                        theta = float(rng.uniform(-math.pi, math.pi))
+                        r = float(rng.uniform(0.05, 0.5))
+                        if pairs and rng.random() < 0.5:
+                            earlier = pairs[int(rng.integers(len(pairs)))]
+                            theta, r = -earlier.theta, earlier.modulus
+                        pairs.append(PhasePair(s.atom(i), s.atom(j), theta, r))
+                    for q_cap in (8, 64):
+                        got = self.search(_search_case_b, s, q_cap, pairs)
+                        assert got == self.search(oracle_search_case_b, s, q_cap, pairs), (
+                            atoms, seed, q_cap)
+
+    def test_twin_pairs_have_equal_exponent_rows(self):
+        # A pair (i, j) and its twin (j, i) have phases of opposite sign and
+        # swapped atom measures; their rows, taken at |theta|, must agree bit
+        # for bit with each other and with the signed-theta formula.
+        def hexed(terms):
+            return [[[float(v).hex() for v in row] for row in rows] for rows in terms]
+
+        def signed_rows(pair, raa, rbb, q_cap):
+            theta = pair.theta
+            n_neg, p_nonneg = cos_sign_pair(theta)
+            negative = [p for p in range(1, q_cap + 1) if math.cos(p * theta) < 0.0]
+            negative += [] if n_neg in negative else [n_neg]
+            return [[(p, raa**p + rbb**p, 2.0 * pair.modulus**p, math.cos(p * theta))
+                     for p in ps] for ps in ([p_nonneg], negative)]
+
+        twins = 0
+        for atoms, seed in self.SYSTEMS:
+            s = generate(GenSpec(WEAK, atoms, seed))
+            by_atoms = {(pr.first.indices()[0], pr.second.indices()[0]): pr
+                        for pr in _pair_candidates(s, DEFAULT_TOL)}
+            for (i, j), pair in by_atoms.items():
+                twin = by_atoms[j, i]
+                assert twin.theta == -pair.theta and twin.modulus == pair.modulus
+                raa, rbb = (max(0.0, quantal_measure(s, s.atom(a))) for a in (i, j))
+                for q_cap in (8, 64, 200):
+                    rows = hexed(_exponent_terms(pair, raa, rbb, q_cap))
+                    assert rows == hexed(_exponent_terms(twin, rbb, raa, q_cap)), (atoms, seed)
+                    assert rows == hexed(signed_rows(pair, raa, rbb, q_cap)), (atoms, seed)
+                twins += 1
+        assert twins > 460
 
     def test_double_sum_matches_the_row_loop(self):
         checked = 0
