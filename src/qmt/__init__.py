@@ -10,7 +10,6 @@ from .algebra import (
     ProductRectangle,
     complement,
     embed_product,
-    enumerate_events,
     intersection,
     rectangle_cover,
     symdiff,

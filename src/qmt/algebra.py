@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .errors import ArityMismatchError, BruteForceLimitError
+from .errors import ArityMismatchError
 
 # Default ceiling for exhaustive 2**n enumerations.
 ENUMERATION_LIMIT = 20
@@ -169,11 +169,3 @@ def rectangle_cover(
         return out
     raise ValueError(f"unknown cover strategy {strategy!r}")
 
-
-def enumerate_events(n: int) -> Iterator[Event]:
-    """Yield all 2**n events of an n-atom space in ascending bitmask order."""
-    limit = ENUMERATION_LIMIT
-    if n > limit:
-        raise BruteForceLimitError(f"2**{n} events exceeds enumeration limit 2**{limit}")
-    for bits in range(1 << n):
-        yield Event(bits, n)

@@ -132,6 +132,7 @@ def cmd_witness(args) -> int:
     tol = args.tol
     doc, system = _load_system(args.path, tol)
     w = build_witness(system, tol, q_cap=args.qmax)
+    components = w.components  # expanded on each read, so read once
     labels = system.labels
 
     def factor_name(fid):  # every witness factor is a single atom
@@ -155,8 +156,8 @@ def cmd_witness(args) -> int:
             "k": w.k,
             "component_count": w.component_count,
             "components": None
-            if w.components is None
-            else [[factor_name(fid) for fid in comp] for comp in w.components[:64]],
+            if components is None
+            else [[factor_name(fid) for fid in comp] for comp in components[:64]],
             "predicted_value": w.predicted_value,
             "verified_value": w.verified_value,
             "cross_checked": w.cross_checked,
@@ -176,8 +177,8 @@ def cmd_witness(args) -> int:
     else:
         print(f"  k = {w.k}")
     print(f"  event components: {w.component_count}")
-    if w.components is not None:
-        for comp in w.components[:16]:
+    if components is not None:
+        for comp in components[:16]:
             print("    (" + ", ".join(factor_name(fid) for fid in comp) + ")")
         if w.component_count > 16:
             print(f"    ... {w.component_count - 16} more")

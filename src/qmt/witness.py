@@ -15,10 +15,11 @@ atoms, so the power is never materialized.
 The work is done in arrays.  The exponent plan search is bounded: one
 array pass over the exponent rows of the phase pairs (twin pairs once)
 for each candidate subset whose least possible plan rank can still win,
-scanning q only until no larger q can; the components are built as
-tuples from cached permutation blocks, and turned into an index array
-only for the literal double sum or the cross-check; the literal double
-sum forms every component pair's slot product, one gather per slot.
+scanning q only until no larger q can; the components are an index
+array, one gather from the cached permutation tables, built only for the
+literal double sum, the cross-check or a read of ``Witness.components``;
+the literal double sum forms every component pair's slot product, one
+gather per slot.
 """
 
 from __future__ import annotations
@@ -101,20 +102,26 @@ def polar(z: complex, eps: float = 0.0) -> PolarEntry:
 
 
 @functools.cache
-def _permutations_by_parity(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Even and odd permutations of range(m), as cached read-only intp rows."""
+def _permutations_by_parity(m: int) -> np.ndarray:
+    """Even and odd permutations of range(m) (m >= 2), as a cached read-only (2, m!/2, m) table.
+
+    A case-(b) component is a parity prefix of p >= 1 slots, then q rows of
+    that parity's table, so the components are pairwise distinct exactly
+    when each table's rows are; that is checked here, once per m.
+    """
     even, odd = [], []
     for perm in itertools.permutations(range(m)):
         inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
         (even if inversions % 2 == 0 else odd).append(perm)
-    tables = tuple(np.array(perms, dtype=np.intp).reshape(-1, m) for perms in (even, odd))
-    for table in tables:
-        table.flags.writeable = False
+    if len(set(even)) != len(even) or len(set(odd)) != len(odd):
+        raise QmtError("witness components are not pairwise distinct")
+    tables = np.array([even, odd], dtype=np.intp)
+    tables.flags.writeable = False
     return tables
 
 
-def _perm_block_sums(matrix: np.ndarray) -> tuple[complex, complex, complex, complex]:
-    """(even-even, even-odd, odd-even, odd-odd) double permutation sums.
+def _perm_block_sums(matrix: np.ndarray, *blocks: str) -> tuple[complex, ...]:
+    """Double permutation sums of the named blocks: "ee", "eo", "oe", "oo" (e even, o odd).
 
     Each block sums slot-wise entry products over its permutation pairs,
     enumerated directly; no parity identities are assumed, so these sums can
@@ -123,9 +130,9 @@ def _perm_block_sums(matrix: np.ndarray) -> tuple[complex, complex, complex, com
     m = matrix.shape[0]
     if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
         raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
-    even, odd = _permutations_by_parity(m)
-    blocks = ((even, even), (even, odd), (odd, even), (odd, odd))
-    return tuple(complex(matrix[r[:, None], c[None, :]].prod(axis=2).sum()) for r, c in blocks)
+    tables = dict(zip("eo", _permutations_by_parity(m)))
+    return tuple(complex(matrix[tables[r][:, None], tables[c][None, :]].prod(axis=2).sum())
+                 for r, c in blocks)
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
     m = n.shape[0]
     if n.ndim != 2 or n.shape[0] != n.shape[1]:
         raise ValueError(f"matrix must be square, got shape {n.shape}")
-    ee, eo, _, _ = _perm_block_sums(n)
+    ee, eo = _perm_block_sums(n, "ee", "eo")
     half = math.factorial(m) // 2
     scale = half * half * max(1.0, float(np.abs(n).max())) ** m
     slack = tol.slack(scale)
@@ -159,7 +166,7 @@ def det_identity_residual(matrix: np.ndarray) -> float:
     """Residual of the identity m! * det = 2*ee - 2*eo for a square matrix."""
     n = np.asarray(matrix, dtype=complex)
     m = n.shape[0]
-    ee, eo, _, _ = _perm_block_sums(n)
+    ee, eo = _perm_block_sums(n, "ee", "eo")
     det = complex(np.linalg.det(n))
     return abs(math.factorial(m) * det - 2.0 * ee + 2.0 * eo)
 
@@ -266,13 +273,11 @@ class Witness:
     ``factors`` lists the distinct building-block events; each component of
     the constructed event is a k-tuple of factor ids (index into
     ``factors``), standing for the product event of those factors in slot
-    order.  ``components`` is a tuple of such tuples, built by concatenating
-    the cached permutation blocks in ``itertools.product`` order; it is None
-    when the count exceeds the materialization cap, and the verified value
-    is then computed blockwise.
+    order.  The event is kept as (factors, p, q); ``components`` expands it
+    into such tuples on each read, or is None past COMPONENT_LIST_CAP.
     ``cross_checked`` is set when the event's measure was also evaluated
-    against the Kronecker power M^(x k), which needs the components and at
-    most ``cross_check_limit`` (default 2**20) composed atoms;
+    against the Kronecker power M^(x k), which needs at most that many
+    components and ``cross_check_limit`` (default 2**20) composed atoms;
     ``cross_check_value`` holds that measure.
     """
 
@@ -288,15 +293,23 @@ class Witness:
     y_p: float | None
     factors: tuple[Event, ...]
     component_count: int
-    components: tuple[tuple[int, ...], ...] | None
     predicted_value: float
     verified_value: float
     cross_checked: bool = False
     cross_check_value: float | None = None
 
+    @property
+    def components(self) -> tuple[tuple[int, ...], ...] | None:
+        """The rows of ``_component_ids`` as tuples, or None past COMPONENT_LIST_CAP."""
+        if self.component_count > COMPONENT_LIST_CAP:
+            return None
+        return tuple(map(tuple, _component_ids(self.p or self.k, self.q or 0,
+                                               len(self.factors) - 2).tolist()))
+
     def component_atom_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Components as atom-index tuples; requires singleton factors."""
-        if self.components is None:
+        components = self.components
+        if components is None:
             raise QmtError(f"{self.component_count} components were not materialized")
         atom_of = []
         for f in self.factors:
@@ -304,7 +317,7 @@ class Witness:
             if len(idx) != 1:
                 raise QmtError(f"factor {f!r} is not a single atom")
             atom_of.append(idx[0])
-        return tuple(tuple(atom_of[fid] for fid in comp) for comp in self.components)
+        return tuple(tuple(atom_of[fid] for fid in comp) for comp in components)
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
@@ -551,42 +564,33 @@ def build_witness(
         if predicted < -VALUE_FLOOR:
             ids = (primary.first.indices()[0], primary.second.indices()[0])
             return _finish(
-                s, tol, cross_check_limit, ids, ((0,) * k, (1,) * k),
+                s, tol, cross_check_limit, ids,
                 case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
                 p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
                 predicted_value=predicted,
             )
 
     ids, fields = _search_case_b(s, tol, pairs, (r_aa, r_bb), q_cap)
-    components = None
-    if fields["component_count"] <= COMPONENT_LIST_CAP:
-        components = _materialize_components(fields["p"], fields["q"], len(ids) - 2)
-    return _finish(s, tol, cross_check_limit, ids, components, **fields)
+    return _finish(s, tol, cross_check_limit, ids, **fields)
 
 
-@functools.cache
-def _perm_blocks(m: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Even and odd permutations of range(m) as tuples of factor ids 2..m+1."""
-    return tuple(tuple(tuple(2 + i for i in perm) for perm in perms.tolist())
-                 for perms in _permutations_by_parity(m))
-
-
-def _materialize_components(p: int, q: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Components as tuples of factor ids: prefix then q permutation blocks.
+def _component_ids(p: int, q: int, m: int) -> np.ndarray:
+    """Components as rows of factor ids: p prefix slots, then q permutation blocks.
 
     Factor id 0 is the first phase event, 1 the second, 2..m+1 the
-    negative-determinant atoms in subset order.  The even prefix comes
-    first; within a prefix the blocks run in ``itertools.product`` order.
-    Each component is the prefix tuple concatenated with q cached block
-    tuples; there are 2 * (m!/2)**q of them, each of length p + q*m.
+    negative-determinant atoms in subset order.  Prefix 0 with even blocks
+    comes first, then prefix 1 with odd ones; within a prefix the blocks
+    run in ``itertools.product`` order, so block j of row r is the table
+    row at digit j of r in base m!/2, one gather for all rows.  There are
+    2 * (m!/2)**q rows of length p + q*m; case (a) is q = 0, m unused.
     """
-    out = []
-    for prefix_id, blocks in enumerate(_perm_blocks(m)):
-        heads = [(prefix_id,) * p]
-        for _ in range(q):
-            heads = [head + block for head in heads for block in blocks]
-        out += heads
-    return tuple(out)
+    half = math.factorial(m) // 2
+    out = np.empty((2, half**q, p + q * m), dtype=np.intp)
+    out[:, :, :p] = np.arange(2)[:, None, None]
+    if q:
+        digits = np.arange(half**q)[:, None] // half ** np.arange(q - 1, -1, -1) % half
+        out[:, :, p:] = (_permutations_by_parity(m)[:, digits] + 2).reshape(2, half**q, -1)
+    return out.reshape(2 * half**q, -1)
 
 
 def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
@@ -598,7 +602,7 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
     block sums.
     """
     w = values[2 : 2 + m, 2 : 2 + m]
-    ee_c, eo_c, oe_c, oo_c = _perm_block_sums(w)
+    ee_c, eo_c, oe_c, oo_c = _perm_block_sums(w, "ee", "eo", "oe", "oo")
     paa = values[0, 0] ** p
     pbb = values[1, 1] ** p
     pab = values[0, 1] ** p
@@ -640,28 +644,26 @@ def _finish(
     tol: Tolerance,
     cross_check_limit: int,
     ids: tuple[int, ...],
-    components: tuple[tuple[int, ...], ...] | None,
     **fields,
 ) -> Witness:
     """Verify the event's measure over its components, then cross-check it.
 
-    ``components`` (factor-id tuples, or None past the cap) must be pairwise
-    distinct; they become an index array only for the literal double sum or
-    the cross-check.  The factors are the atoms ``ids``, so the factor values
-    are atomic entries.  The measure is the literal double sum up to
-    ORACLE_PAIR_CAP components and the blockwise one of case (b) beyond; it
-    must be real, match the predicted value and be negative.  The
-    cross-check, run when s.n**k fits the limit, evaluates the embedded
-    event against the operator, not the component factorisation, so it
-    stays independent of the double sum that produced the verified value.
+    The components (distinct by the permutation tables' check) become an
+    index array only for the literal double sum or the cross-check.  The
+    factors are the atoms ``ids``, so the factor values are atomic entries.
+    The measure is the literal double sum up to ORACLE_PAIR_CAP components
+    and the blockwise one of case (b) beyond; it must be real, match the
+    predicted value and be negative.  The cross-check, run up to
+    COMPONENT_LIST_CAP components when s.n**k fits the limit, evaluates the
+    embedded event against the operator, not the component factorisation,
+    so it stays independent of the double sum that produced the verified
+    value.
     """
-    if components is not None and len(set(components)) != len(components):
-        raise QmtError("witness components are not pairwise distinct")
-    literal = components is not None and len(components) <= ORACLE_PAIR_CAP
-    cross = components is not None and s.n ** fields["k"] <= cross_check_limit
+    count, k = fields["component_count"], fields["k"]
+    literal = count <= ORACLE_PAIR_CAP
+    cross = count <= COMPONENT_LIST_CAP and s.n**k <= cross_check_limit
     if literal or cross:
-        comps = np.fromiter(itertools.chain.from_iterable(components), dtype=np.intp,
-                            count=len(components) * fields["k"]).reshape(len(components), -1)
+        comps = _component_ids(fields["p"] or k, fields["q"] or 0, len(ids) - 2)
     values = s.matrix[np.ix_(ids, ids)]
     if literal:
         verified_c = _double_sum(values, comps)
@@ -671,7 +673,6 @@ def _finish(
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
     w = Witness(
         factors=tuple(s.atom(i) for i in ids),
-        components=components,
         verified_value=verified_c.real,
         **fields,
     )

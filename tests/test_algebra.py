@@ -3,12 +3,10 @@ import pytest
 
 from qmt import (
     ArityMismatchError,
-    BruteForceLimitError,
     Event,
     ProductRectangle,
     complement,
     embed_product,
-    enumerate_events,
     intersection,
     rectangle_cover,
     symdiff,
@@ -152,20 +150,3 @@ class TestRectangleCover:
                     seen |= bits
                 assert seen == e.bits
 
-
-class TestEnumeration:
-    def test_zero_atoms(self):
-        assert list(enumerate_events(0)) == [Event.empty(0)]
-
-    def test_one_atom(self):
-        assert list(enumerate_events(1)) == [Event.empty(1), ev([0], 1)]
-
-    def test_cardinality_and_order(self):
-        events = list(enumerate_events(2))
-        assert len(events) == 4
-        assert [e.bits for e in events] == [0, 1, 2, 3]
-
-    def test_limit(self):
-        with pytest.raises(BruteForceLimitError):
-            list(enumerate_events(21))
-        assert len(list(enumerate_events(5))) == 32

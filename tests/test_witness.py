@@ -40,9 +40,9 @@ from qmt.witness import (
     VALUE_FLOOR,
     PermSums,
     PhasePair,
+    _component_ids,
     _double_sum,
     _exponent_terms,
-    _materialize_components,
     _neg_det_candidates,
     _pair_candidates,
     _perm_block_sums,
@@ -100,7 +100,7 @@ class TestPermSums:
         rng = np.random.default_rng(41)
         for m in (2, 3, 4, 5):
             for _ in range(20):
-                ee, eo, oe, oo = _perm_block_sums(random_hermitian(rng, m))
+                ee, eo, oe, oo = _perm_block_sums(random_hermitian(rng, m), "ee", "eo", "oe", "oo")
                 assert abs(ee.imag) < 1e-12 * max(1, abs(ee))
                 assert abs(eo.imag) < 1e-12 * max(1, abs(eo))
                 # parity identities: odd-odd equals even-even, odd-even the mirror
@@ -350,9 +350,10 @@ class TestBuildWitness:
             got = real_sums(matrix, tol)
             return PermSums(got.eo, got.eo, got.order) if is_last(matrix) else got
 
-        def blocks(matrix):
-            ee, eo, oe, oo = real_blocks(matrix)
-            return (ee + 1j, eo, oe, oo) if is_last(matrix) else (ee, eo, oe, oo)
+        def blocks(matrix, *names):
+            got = real_blocks(matrix, *names)
+            assert names[0] == "ee"
+            return (got[0] + 1j, *got[1:]) if is_last(matrix) else got
 
         if fault == "ee_not_below_eo":
             monkeypatch.setattr(witness, "perm_sums", sums)
@@ -379,6 +380,38 @@ class TestBuildWitness:
                 continue
             assert len(set(w.components)) == w.component_count
             assert all(len(c) == w.k for c in w.components)
+
+    def test_a_repeated_permutation_row_is_caught(self, monkeypatch):
+        # The components are distinct exactly when each parity table's rows
+        # are; a table with a repeated row must stop the construction.
+        permutations = itertools.permutations
+
+        def repeating(seq):
+            return [*permutations(seq), tuple(seq)]  # the identity twice
+
+        monkeypatch.setattr(itertools, "permutations", repeating)
+        _permutations_by_parity.cache_clear()
+        try:
+            with pytest.raises(QmtError, match="not pairwise distinct"):
+                build_witness(generate(GenSpec(WEAK, 3, 0)))
+        finally:
+            monkeypatch.undo()
+            _permutations_by_parity.cache_clear()
+
+    def test_unread_components_are_not_built(self, monkeypatch):
+        # Seed 46: 39366 components, past the literal sum and too large to
+        # cross-check, so nothing reads them until Witness.components does.
+        calls = []
+        real = witness._component_ids
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(witness, "_component_ids", counted)
+        w = build_witness(generate(GenSpec(WEAK, 3, 46)))
+        assert (w.component_count, w.cross_checked, calls) == (39366, False, [])
+        assert len(w.components) == 39366 and len(calls) == 1
 
     def test_soundness_on_generated_systems(self):
         for n in (2, 3):
@@ -443,15 +476,28 @@ class TestBuildWitness:
         assert w.cross_check_value == pytest.approx(w.verified_value, rel=1e-9)
         assert not build_witness(s, cross_check_limit=4096).cross_checked
 
-    @pytest.mark.parametrize("p, q, m", [(1, 1, 2), (3, 2, 3), (2, 3, 3), (1, 2, 4)])
+    @pytest.mark.parametrize("p, q, m", [(1, 1, 2), (3, 2, 3), (2, 3, 3), (1, 2, 4),
+                                         (2, 0, 3), (5, 0, 0), (1, 1, 6), (2, 2, 5)])
     def test_components_match_product_order(self, p, q, m):
-        even, odd = _permutations_by_parity(m)
+        tables = _permutations_by_parity(m).tolist() if q else [[], []]
         expected = [
             [prefix_id] * p + [2 + i for perm in choice for i in perm]
-            for prefix_id, perms in ((0, even.tolist()), (1, odd.tolist()))
+            for prefix_id, perms in enumerate(tables)
             for choice in itertools.product(perms, repeat=q)
         ]
-        assert _materialize_components(p, q, m) == tuple(map(tuple, expected))
+        ids = _component_ids(p, q, m)
+        assert ids.dtype == np.intp and ids.shape == (len(expected), p + q * m)
+        assert ids.tolist() == expected
+
+    @pytest.mark.parametrize("atoms, seed, case", [(3, 93, "b_iii"), (None, None, "a")])
+    def test_witness_components_are_the_id_rows(self, atoms, seed, case):
+        s = (generate(GenSpec(WEAK, atoms, seed)) if atoms else
+             QuantumSystem([[0.0, 0.1j, 0.0], [-0.1j, 0.0, 0.0], [0.0, 0.0, 1.0]]))
+        w = build_witness(s)
+        assert w.case == case
+        ids = _component_ids(w.p or w.k, w.q or 0, len(w.factors) - 2)
+        assert w.components == tuple(map(tuple, ids.tolist()))
+        assert len(w.components) == w.component_count
 
     def test_plans_pinned(self):
         # (case, pair atoms, neg_det_atoms, p, q, k, component_count) of each
