@@ -26,9 +26,8 @@ from .errors import (
     SumRuleViolationError,
 )
 
+# Measure tables, and with them the sum-rule check, cover every event up to this n.
 MEASURE_TABLE_LIMIT = 16
-# The quantal sum rule is tested on all 4**n disjoint triples up to this n.
-SUM_RULE_EXHAUSTIVE_LIMIT = 8
 # The event sweep splits the atoms into at most SWEEP_LOW_ATOMS low atoms and
 # the rest.  The low atoms' masks come in doubling blocks from [0, 2), so a
 # violator at mask 1 costs two measures; after them one block covers at most
@@ -271,15 +270,16 @@ def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float
     -slack too; that sum is the returned measure.  Raises
     ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
     """
+    atoms = np.arange(len(matrix))
     for first, values in _sweep_blocks(matrix):
         if values.min() >= -slack:
             continue
         for offset in np.flatnonzero(values < -slack):
-            event = Event(first + int(offset), len(matrix))
-            idx = np.array(event.indices(), dtype=np.intp)
+            mask = first + int(offset)
+            idx = np.flatnonzero(mask >> atoms & 1)
             value = float(matrix[np.ix_(idx, idx)].sum().real)
             if value < -slack:
-                return event, value
+                return Event(mask, len(matrix)), value
     return None
 
 
@@ -523,65 +523,62 @@ def check_axioms(matrix, tol: Tolerance = DEFAULT_TOL) -> AxiomReport:
     )
 
 
-def _sum_rule_residuals(values: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """(alpha, beta, gamma, residual) arrays over all pairwise-disjoint triples.
-
-    Triple t assigns atom i to bucket (t >> 2i) & 3 (unused, alpha, beta,
-    gamma), 4**n assignments in total, in ascending t.  Codes and masks use
-    the smallest unsigned dtype that holds them, which keeps the transient
-    arrays near 2 MB at n = 8.
-    """
-    codes = np.arange(4**n, dtype=np.min_scalar_type(4**n - 1))
-    a, b, c = (np.zeros(codes.size, dtype=np.min_scalar_type((1 << n) - 1)) for _ in range(3))
-    for atom in range(n):
-        bucket = codes >> 2 * atom & 3
-        for k, mask in enumerate((a, b, c), 1):
-            mask[bucket == k] |= 1 << atom
-    residual = (
-        values[a | b | c]
-        - values[a | b]
-        - values[b | c]
-        - values[a | c]
-        + values[a]
-        + values[b]
-        + values[c]
-    )
-    return a, b, c, residual
-
-
 @dataclass(frozen=True)
 class SumRuleReport:
+    """``worst_event`` is the event with the largest gap, lowest bitmask among ties."""
+
     passed: bool
     max_residual: float
     exhaustive: bool
-    worst_triple: tuple[Event, Event, Event] | None
+    worst_event: Event | None
 
     def __bool__(self) -> bool:
         return self.passed
 
 
-def check_quantal_sum_rule(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> SumRuleReport:
-    """Test the quantal sum rule on disjoint triples of events.
+def _half_sum(values: np.ndarray, n: int) -> np.ndarray:
+    """Real symmetric atomic matrix of a measure table, by the half-sum rule.
 
-    Exhaustive over all 4**n assignments when n <= SUM_RULE_EXHAUSTIVE_LIMIT.
-    Above it the rule is reported as holding by construction (``exhaustive``
-    False, zero residual): every measure of a matrix-defined system is a
-    bi-additive sum of atomic entries, for which the rule is an identity.
+    ``D(A, B) = (mu(A|B) + mu(A&B) - mu(A\\B) - mu(B\\A)) / 2`` on atoms:
+    A_ii = mu(i) and A_ij = A_ji = (mu(ij) - mu(i) - mu(j)) / 2.  A table
+    obeys the quantal sum rule on every disjoint triple of events if and
+    only if this matrix's functional reproduces it on every event (Sorkin,
+    "Quantum mechanics as quantum measure theory", Mod. Phys. Lett. A 9
+    (1994)), so 2**n measures decide what 4**n triples would.
     """
-    n = s.n
-    if n > SUM_RULE_EXHAUSTIVE_LIMIT:
-        return SumRuleReport(passed=True, max_residual=0.0, exhaustive=False, worst_triple=None)
-    a, b, c, residual = _sum_rule_residuals(event_measures(s.matrix), n)
-    r = np.abs(residual)
-    i = int(r.argmax())
-    worst = float(r[i])
-    passed = worst <= tol.scaled(s.matrix)
-    return SumRuleReport(
-        passed=passed,
-        max_residual=worst,
-        exhaustive=True,
-        worst_triple=None if passed else tuple(Event(int(m[i]), n) for m in (a, b, c)),
-    )
+    bits = 1 << np.arange(n)
+    singles = values[bits]
+    i, j = np.triu_indices(n, 1)
+    a = np.diag(singles)
+    a[i, j] = a[j, i] = 0.5 * (values[bits[i] | bits[j]] - singles[i] - singles[j])
+    return a
+
+
+def _half_sum_check(values: np.ndarray, n: int, tol: Tolerance) -> tuple[np.ndarray, SumRuleReport]:
+    """``_half_sum`` of a table, and whether its functional reproduces every event.
+
+    By ``_half_sum``'s equivalence the report decides the quantal sum rule.
+    """
+    a = _half_sum(values, n)
+    gaps = np.abs(event_measures(a) - values)
+    worst = int(gaps.argmax())
+    gap = float(gaps[worst])
+    passed = gap <= tol.scaled(a)
+    return a, SumRuleReport(passed, gap, True, None if passed else Event(worst, n))
+
+
+def check_quantal_sum_rule(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> SumRuleReport:
+    """The quantal sum rule, decided by ``_half_sum_check`` on the system's measures.
+
+    Exhaustive on every event up to MEASURE_TABLE_LIMIT atoms, which by
+    ``_half_sum``'s equivalence covers every disjoint triple.  Above it the
+    rule is reported as holding by construction (``exhaustive`` False, zero
+    residual): every measure of a matrix-defined system is a bi-additive
+    sum of atomic entries, for which the rule is an identity.
+    """
+    if s.n > MEASURE_TABLE_LIMIT:
+        return SumRuleReport(passed=True, max_residual=0.0, exhaustive=False, worst_event=None)
+    return _half_sum_check(event_measures(s.matrix), s.n, tol)[1]
 
 
 @dataclass(frozen=True)
@@ -599,6 +596,8 @@ class MeasureTable:
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} values, got shape {vals.shape}")
+        if not np.isfinite(vals).all():
+            raise ValueError("measure values must be finite")
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
@@ -609,27 +608,8 @@ class MeasureTable:
         return float(self.values[e.bits])
 
     def validate(self, tol: Tolerance = DEFAULT_TOL) -> None:
-        """Raise unless the table is normalized and satisfies the sum rule."""
-        eps = _check_normalised(self.values, tol)
-        if self.n <= SUM_RULE_EXHAUSTIVE_LIMIT:
-            a, b, c, residual = _sum_rule_residuals(self.values, self.n)
-            bad = np.flatnonzero(np.abs(residual) > eps)
-            if bad.size:
-                i = bad[0]
-                raise SumRuleViolationError(
-                    f"sum rule residual {residual[i]:.3e} on disjoint triple "
-                    f"({int(a[i]):#x}, {int(b[i]):#x}, {int(c[i]):#x})"
-                )
-
-
-def _check_normalised(values: np.ndarray, tol: Tolerance) -> float:
-    """Raise unless the empty event measures 0 and the full one 1; return the slack."""
-    eps = tol.slack(float(np.abs(values).max()))
-    if abs(values[0]) > eps:
-        raise SumRuleViolationError(f"empty event has measure {values[0]:.3e}")
-    if abs(values[-1] - 1.0) > eps:
-        raise SumRuleViolationError(f"full event has measure {values[-1]:.6g}")
-    return eps
+        """Raise unless ``system_from_measure`` accepts the table (see ``_half_sum``)."""
+        system_from_measure(self, tol=tol)
 
 
 def measure_table(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> MeasureTable:
@@ -644,35 +624,29 @@ def system_from_measure(
     labels: Iterable[str] | None = None,
     tol: Tolerance = DEFAULT_TOL,
 ) -> QuantumSystem:
-    """Canonical real symmetric system realizing a quantal measure.
+    """Canonical real symmetric system realizing a quantal measure: ``_half_sum``.
 
-    The atomic entries come from the half-sum rule
-    ``D(A, B) = (mu(A|B) + mu(A&B) - mu(A\\B) - mu(B\\A)) / 2`` evaluated on
-    singleton pairs.  The construction is valid exactly when the table obeys
-    the quantal sum rule; this is enforced by checking that the induced
-    functional reproduces the table on every event.
+    The table must be normalized and obey the quantal sum rule, which holds
+    exactly when the induced functional reproduces it on every event (see
+    ``_half_sum``); ``_half_sum_check`` compares them.
     """
-    n = table.n
     vals = table.values
-    _check_normalised(vals, tol)
-    m = np.zeros((n, n))
-    for i in range(n):
-        m[i, i] = vals[1 << i]
-        for j in range(i + 1, n):
-            off = 0.5 * (vals[(1 << i) | (1 << j)] - vals[1 << i] - vals[1 << j])
-            m[i, j] = m[j, i] = off
+    eps = tol.slack(float(np.abs(vals).max()))
+    if abs(vals[0]) > eps:
+        raise SumRuleViolationError(f"empty event has measure {vals[0]:.3e}")
+    if abs(vals[-1] - 1.0) > eps:
+        raise SumRuleViolationError(f"full event has measure {vals[-1]:.6g}")
+    m, report = _half_sum_check(vals, table.n, tol)
     try:
         system = QuantumSystem(m, labels, tol=tol)
     except AxiomViolationError as exc:
         raise SumRuleViolationError(
             f"measure does not induce a normalized functional: {exc}"
         ) from exc
-    induced = event_measures(system.matrix)
-    gaps = np.abs(induced - vals)
-    worst = int(gaps.argmax())
-    if gaps[worst] > tol.scaled(system.matrix):
+    if not report:
+        worst = report.worst_event.bits
         raise SumRuleViolationError(
-            f"measure violates the quantal sum rule: event {worst:#x} maps to "
-            f"{induced[worst]:.9g}, table says {vals[worst]:.9g}"
+            f"measure violates the quantal sum rule: event {worst:#x} is off by "
+            f"{report.max_residual:.3e} from the table's {vals[worst]:.9g}"
         )
     return system

@@ -51,9 +51,8 @@ from .functional import (
     quantal_measure,
 )
 
-PERM_ORDER_MIN = 2
+# Largest permutation-sum order, and so the largest negative-determinant subset.
 PERM_ORDER_MAX = 6
-NEG_DET_SIZE_CAP = 6
 DEFAULT_Q_CAP = 64
 # Constructed values below this magnitude cannot be verified in doubles.
 VALUE_FLOOR = 1e-280
@@ -128,7 +127,7 @@ def _perm_block_sums(matrix: np.ndarray, *blocks: str) -> tuple[complex, ...]:
     check those identities.  Guarded to orders 2..6: (m!/2)**2 terms each.
     """
     m = matrix.shape[0]
-    if not PERM_ORDER_MIN <= m <= PERM_ORDER_MAX:
+    if not 2 <= m <= PERM_ORDER_MAX:
         raise ValueError(f"permutation sums support order 2..{PERM_ORDER_MAX}, got {m}")
     tables = dict(zip("eo", _permutations_by_parity(m)))
     return tuple(complex(matrix[tables[r][:, None], tables[c][None, :]].prod(axis=2).sum())
@@ -232,7 +231,7 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     n = s.n
     m = s.matrix
     found = 0
-    for size in range(2, min(n, NEG_DET_SIZE_CAP) + 1):
+    for size in range(2, min(n, PERM_ORDER_MAX) + 1):
         masked = sorted(
             (sum(1 << i for i in combo), combo)
             for combo in itertools.combinations(range(n), size)
@@ -251,7 +250,7 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     if not found:
         lo = float(np.linalg.eigvalsh(m)[0])
         raise SearchExhaustedError(
-            f"no principal submatrix of size <= {NEG_DET_SIZE_CAP} has negative determinant "
+            f"no principal submatrix of size <= {PERM_ORDER_MAX} has negative determinant "
             f"(lambda_min = {lo:.3e}); the system is PSD or borderline"
         )
 

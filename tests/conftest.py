@@ -161,6 +161,25 @@ def oracle_weakly_positive(system, tol=1e-9):
     return True, None
 
 
+def oracle_quantal_table(values, n, tol=1e-9):
+    """A table normalized and obeying the quantal sum rule on every disjoint triple.
+
+    Each of the 4**n assignments of atoms to (none, A, B, C) is one triple;
+    mu(ABC) - mu(AB) - mu(BC) - mu(AC) + mu(A) + mu(B) + mu(C) must vanish.
+    The slack is tol times one plus the table's largest magnitude.
+    """
+    eps = tol * (1.0 + float(np.abs(values).max()))
+    if abs(values[0]) > eps or abs(values[-1] - 1.0) > eps:
+        return False
+    for buckets in itertools.product(range(4), repeat=n):
+        a, b, c = (sum(1 << i for i, k in enumerate(buckets) if k == part) for part in (1, 2, 3))
+        residual = (values[a | b | c] - values[a | b] - values[b | c] - values[a | c]
+                    + values[a] + values[b] + values[c])
+        if abs(residual) > eps:
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Document oracles: a copy of the earlier per-entry writer (one format() call
 # per double) and per-cell reader loop, which the bulk ones must match.

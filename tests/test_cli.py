@@ -369,13 +369,17 @@ class TestGenAndVerifyCommands:
         code, _, _ = run(["verify", doc_path("strong_not_posentry")], capsys)
         assert code == 0
 
-    def test_verify_above_exhaustive_limit_holds_by_construction(self, tmp_path, capsys):
-        path = tmp_path / "c9.json"
-        argv = ["gen", "--kind", "classical", "--atoms", "9", "--seed", "1", "-o", str(path)]
+    @pytest.mark.parametrize(
+        "atoms, detail", [(16, "exhaustive)"), (17, "(by construction)")]
+    )
+    def test_verify_sum_rule_exhaustive_up_to_16_atoms(self, tmp_path, capsys, atoms, detail):
+        path = tmp_path / f"c{atoms}.json"
+        argv = ["gen", "--kind", "classical", "--atoms", str(atoms), "--seed", "1", "-o", str(path)]
         assert run(argv, capsys)[0] == 0
         code, out, _ = run(["verify", str(path)], capsys)
         assert code == 0
-        assert "quantal sum rule: pass  (by construction)" in out
+        line = next(x for x in out.splitlines() if "quantal sum rule" in x)
+        assert line.startswith("  quantal sum rule: pass  (") and line.endswith(detail)
 
     def test_verify_non_normalized_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -23,7 +23,14 @@ from qmt import (
 )
 from qmt import functional
 from qmt.algebra import ENUMERATION_LIMIT
-from qmt.functional import event_measures, first_weak_violation
+from qmt.functional import (
+    DEFAULT_TOL,
+    MEASURE_TABLE_LIMIT,
+    _half_sum,
+    _half_sum_check,
+    event_measures,
+    first_weak_violation,
+)
 from qmt.gen import KINDS
 
 from conftest import (
@@ -411,12 +418,37 @@ class TestQuantalSumRule:
     def test_empty_triple_is_trivial(self, m_system):
         assert check_quantal_sum_rule(m_system).passed
 
+    def test_exhaustive_up_to_the_table_limit(self):
+        s = random_hermitian_system(np.random.default_rng(23), MEASURE_TABLE_LIMIT)
+        report = check_quantal_sum_rule(s)
+        assert report.passed and report.exhaustive and report.worst_event is None
+        assert report.max_residual <= DEFAULT_TOL.scaled(s.matrix)
+
     def test_larger_system_holds_by_construction(self):
         rng = np.random.default_rng(22)
-        s = random_hermitian_system(rng, 10)
+        s = random_hermitian_system(rng, MEASURE_TABLE_LIMIT + 1)
         report = check_quantal_sum_rule(s)
         assert report.passed and not report.exhaustive
-        assert report.max_residual == 0.0 and report.worst_triple is None
+        assert report.max_residual == 0.0 and report.worst_event is None
+
+    def test_worst_event_is_the_lowest_largest_gap(self):
+        values = event_measures(random_hermitian_system(np.random.default_rng(24), 5).matrix)
+        values[0b10110] += 0.01
+        values[0b01011] += 0.01
+        values[0b00111] += 0.005
+        report = _half_sum_check(values, 5, DEFAULT_TOL)[1]
+        assert not report.passed and report.exhaustive
+        assert report.worst_event == Event(0b01011, 5)
+        assert report.max_residual == pytest.approx(0.01)
+
+    def test_half_sum_matches_the_entrywise_rule(self):
+        values = event_measures(random_hermitian_system(np.random.default_rng(25), 6).matrix)
+        a = _half_sum(values, 6)
+        for i in range(6):
+            assert a[i, i] == values[1 << i]
+            for j in range(i + 1, 6):
+                off = 0.5 * (values[(1 << i) | (1 << j)] - values[1 << i] - values[1 << j])
+                assert a[i, j] == a[j, i] == off
 
 
 class TestMeasureTable:
@@ -434,6 +466,23 @@ class TestMeasureTable:
         table = MeasureTable(1, np.array([0.0, 0.5]))
         with pytest.raises(SumRuleViolationError):
             table.validate()
+
+    @pytest.mark.parametrize("mask", [0, 0b100, 0b101, 0b111])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, mask, bad):
+        values = np.array([0.0, 0.2, 0.3, 0.5, 0.5, 0.7, 0.8, 1.0])
+        values[mask] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MeasureTable(3, values)
+
+    @pytest.mark.parametrize("n", [10, MEASURE_TABLE_LIMIT])
+    def test_validate_rejects_sum_rule_break_on_many_atoms(self, n):
+        table = measure_table(generate(GenSpec("strong", n, 5)))
+        table.validate()
+        values = table.values.copy()
+        values[0b111] += 0.01
+        with pytest.raises(SumRuleViolationError, match="event 0x7 "):
+            MeasureTable(n, values).validate()
 
     def test_validate_rejects_sum_rule_break(self):
         # three atoms, tamper with a pair value so the (0,1,2) triple breaks

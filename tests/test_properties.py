@@ -6,11 +6,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from qmt import GenSpec, classify, generate
+from qmt import GenSpec, MeasureTable, SumRuleViolationError, classify, generate
 from qmt.documents import dumps, loads
 from qmt.functional import DEFAULT_TOL, event_measures, first_weak_violation
 
-from conftest import document, oracle_dumps, random_hermitian_system, same_bits
+from conftest import (
+    document,
+    oracle_dumps,
+    oracle_quantal_table,
+    random_hermitian_system,
+    same_bits,
+)
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
@@ -26,6 +32,27 @@ def test_measure_is_the_direct_sum(n, seed, data):
         idx = np.array([i for i in range(n) if mask >> i & 1], dtype=np.intp)
         direct = m[np.ix_(idx, idx)].sum().real
         assert abs(mu[mask] - direct) <= 1e-12 * scale
+
+
+@FIXED
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([0.0, 1e-12, 1e-6, 1e-3]),
+    data=st.data(),
+)
+def test_validate_agrees_with_the_triple_oracle(n, seed, size, data):
+    """A system's table, one event nudged by ``size`` of its scale: both checks agree."""
+    values = event_measures(random_hermitian_system(np.random.default_rng(seed), n).matrix)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    values[mask] += data.draw(st.sampled_from([1.0, -1.0])) * size * (1.0 + np.abs(values).max())
+    table = MeasureTable(n, values)
+    try:
+        table.validate()
+        verdict = True
+    except SumRuleViolationError:
+        verdict = False
+    assert verdict == oracle_quantal_table(table.values, n)
 
 
 @FIXED
