@@ -1,7 +1,11 @@
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+
+import qmt.documents
 
 from qmt import DocumentError, GenSpec, compose, generate
 from qmt.gen import KINDS
@@ -290,3 +294,176 @@ class TestBulkReaderErrors:
             with pytest.raises(DocumentError) as info:
                 loads(text)
             assert str(info.value) == want
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_refused_write_leaves_the_file_as_it_was(self, tmp_path, bad):
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier bytes\n")
+        doc = document([[0.5, 0.0], [0.0, 0.5]])
+        matrix = np.array(doc.matrix)
+        matrix[1, 0] = complex(0.0, bad)
+        object.__setattr__(doc, "matrix", matrix)
+        with pytest.raises(DocumentError) as want:
+            oracle_dumps(doc)
+        with pytest.raises(DocumentError) as got:
+            write_document(path, doc)
+        assert str(got.value) == str(want.value)
+        assert path.read_bytes() == b"earlier bytes\n"
+
+    def test_chain_write_matches_the_oracle(self, chain, tmp_path):
+        for doc in chain[:4]:
+            write_document(tmp_path / "c.json", doc)
+            assert (tmp_path / "c.json").read_text("utf-8") == oracle_dumps(doc)
+
+    def test_traced_peak_of_the_512_atom_write_is_below_four_matrices(self, chain, tmp_path):
+        doc = chain[-1]
+        tracemalloc.start()
+        try:
+            write_document(tmp_path / "c512.json", doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * doc.matrix.nbytes, peak
+
+
+def whole_outcome(parse, text):
+    """The parsed document's fields and matrix bits, or the error message."""
+    try:
+        doc = parse(text)
+    except DocumentError as exc:
+        return str(exc)
+    return (doc.name, doc.atoms, doc.metadata, doc.matrix.shape,
+            np.ascontiguousarray(doc.matrix).view(np.uint64).tolist())
+
+
+def five_atom_text(row2="", keys=("name", "atoms", "matrix", "metadata")):
+    """A 5-atom document; ``row2`` replaces row 2's middle cell, if given."""
+    rows = [[{"re": 0.2 * (i == j), "im": 0.01 * (i - j)} for j in range(5)] for i in range(5)]
+    parts = {"name": '"five"', "atoms": json.dumps([f"a{i}" for i in range(5)]),
+             "metadata": '{"k": [1, 2]}'}
+    texts = [", ".join(json.dumps(cell) for cell in row) for row in rows]
+    if row2:
+        cells = [json.dumps(cell) for cell in rows[2]]
+        cells[2] = row2
+        texts[2] = ", ".join(cells)
+    parts["matrix"] = "[\n" + ",\n".join(f"    [{t}]" for t in texts) + "\n  ]"
+    return "{\n" + ",\n".join(f'  "{k}": {parts[k]}' for k in keys) + "\n}\n"
+
+
+PARSING_CASES = [
+    "{not json",
+    '{"name": "x"}',
+    '{"name": "x", "atoms": ["a", "b"], "matrix": [[{"re": 1, "im": 0}]], "metadata": {}}',
+    '{"name": "x", "atoms": ["a"], "matrix": [["1+2j"]], "metadata": {}}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": true, "im": 0}]], "metadata": {}}',
+    "", "[]", "{}", "﻿{}", '{"name": "x",}', '{"name" "x"}',
+    '{"name": "x", "atoms": [], "matrix": [[]]}',
+    '{"name": "x", "atoms": ["a"], "matrix": [{"re": 1, "im": 0}]}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}],]}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}] [1]]}',
+    '{"name": 1, "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}]]}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}]], "metadata": []}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}]], "metadata": NaN}',
+    '{"name": "x", "atoms": ["a"], "matrix": [[{"re": 1, "im": 0}]], "m": ' + "[" * 10**5,
+]
+
+
+class TestRowWalk:
+    """The row-by-row reader against the whole-document parse it falls back to."""
+
+    @staticmethod
+    def same_as_whole(text, walked=True):
+        with mock.patch.object(qmt.documents, "_walk", return_value=None):
+            want = whole_outcome(loads, text)
+        assert whole_outcome(loads, text) == want
+        # A valid document is read by the walk itself, not by the fallback.
+        try:
+            raw = qmt.documents._walk(text)
+        except (ValueError, RecursionError, DocumentError):
+            raw = None
+        assert walked is None or (raw is not None) is walked
+        return want
+
+    @pytest.mark.parametrize("batch_cells", [8192, 5, 10])
+    @pytest.mark.parametrize("cell, message", [
+        ('{"re": NaN, "im": 0}', "non-finite number NaN is not allowed"),
+        ('{"re": 0, "im": -Infinity}', "non-finite number -Infinity is not allowed"),
+        ('{"re": 1e999, "im": 0}', "matrix entry (2, 2) is not finite"),
+        ('{"re": 1' + "0" * 400 + ', "im": 0}', "matrix entry (2, 2) is not finite"),
+        ('{"re": 18446744073709551623, "im": -9223372036854775809}', None),
+    ])
+    def test_bad_and_big_numbers_in_row_three_of_five(self, monkeypatch, batch_cells, cell,
+                                                      message):
+        monkeypatch.setattr(qmt.documents, "_BATCH_CELLS", batch_cells)
+        text = five_atom_text(cell)
+        want = self.same_as_whole(text, walked=message is None)
+        if message is None:
+            assert loads(text).matrix[2, 2] == complex(2**64 + 7, -(2**63) - 1)
+        else:
+            assert want == message
+
+    def test_matrix_before_atoms(self):
+        self.same_as_whole(five_atom_text(keys=("matrix", "metadata", "atoms", "name")))
+
+    def test_the_last_duplicate_matrix_wins(self):
+        first = five_atom_text()
+        second = first.replace('"re": 0.2', '"re": 0.25')
+        matrix_text = second[second.index('"matrix"'):second.index(',\n  "metadata"')]
+        text = first.replace('\n}\n', f",\n  {matrix_text}\n}}\n")
+        assert self.same_as_whole(text)[4] == self.same_as_whole(second)[4]
+        # A bad first matrix is overridden too.
+        bad_first = text.replace('"re": 0.2', '"re": true', 1)
+        assert self.same_as_whole(bad_first, walked=None)[4] == self.same_as_whole(second)[4]
+
+    def test_indented_and_compact_json(self, chain):
+        raw = json.loads(dumps(chain[1]))
+        for text in (json.dumps(raw, indent=4), json.dumps(raw, separators=(",", ":")),
+                     json.dumps(raw, indent="\t") + " \r\n"):
+            self.same_as_whole(text)
+
+    def test_empty_matrix(self):
+        for text in ('{"name": "e", "atoms": [], "matrix": [], "metadata": {}}',
+                     '{"name": "e", "atoms": [], "matrix": [ \n ]}',
+                     '{"name": "e", "atoms": ["a"], "matrix": []}'):
+            self.same_as_whole(text, walked=False)
+
+    @pytest.mark.parametrize("trailing", ["x", "{}", ",", "]", "\n}"])
+    def test_trailing_data_is_invalid_json(self, trailing):
+        message = self.same_as_whole(five_atom_text() + trailing, walked=False)
+        assert message.startswith("invalid JSON: Extra data")
+
+    @pytest.mark.parametrize("text", PARSING_CASES, ids=range(len(PARSING_CASES)))
+    def test_parsing_cases_give_the_whole_document_message(self, text):
+        assert isinstance(self.same_as_whole(text, walked=None), str)
+
+    def test_escaped_keys_and_negative_zero(self):
+        text = ('{"n\\u0061me": "x", "atoms": ["a"], "matrix": [[{"im": -0, "re": -0.0}]],'
+                ' "metadata": {"a": 1}, "metadata": {"b": 2}}')
+        name, _, metadata, _, bits = self.same_as_whole(text, walked=False)
+        assert (name, metadata, bits) == ("x", {"b": 2}, [[1 << 63, 0]])
+        self.same_as_whole(text.replace("n\\u0061me", "name"))
+
+    def test_a_valid_document_never_builds_the_whole_tree(self, chain, monkeypatch):
+        doc = chain[4]
+        text = dumps(doc)
+
+        def whole_tree(*args, **kwargs):
+            raise AssertionError("json.loads called on a valid document")
+
+        monkeypatch.setattr(qmt.documents.json, "loads", whole_tree)
+        assert len(doc.atoms) == 64
+        assert same_bits(loads(text).matrix, doc.matrix)
+
+    def test_traced_peak_of_the_512_atom_read_is_below_four_matrices(self, chain):
+        doc = chain[-1]
+        text = dumps(doc)
+        tracemalloc.start()
+        try:
+            matrix = loads(text).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(matrix, doc.matrix)
+        assert peak < 4 * doc.matrix.nbytes, peak
