@@ -33,8 +33,8 @@ from .functional import (
     StrongResult,
     Tolerance,
     _entry_scan,
-    _lowest_weak_violation,
     _psd_test,
+    first_weak_violation,
     positivity,
 )
 
@@ -56,7 +56,7 @@ def is_weakly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> WeakRe
     ``ENUMERATION_LIMIT`` atoms are swept, as ``classify`` sweeps them: a
     violator there is exact, and with none ``BruteForceLimitError`` is raised.
     """
-    found = _lowest_weak_violation(s.matrix, tol.scaled(s.matrix))
+    found = first_weak_violation(s.matrix, tol.scaled(s.matrix))
     if found:
         return WeakResult(False, *found)
     if s.n > ENUMERATION_LIMIT:

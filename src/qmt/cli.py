@@ -132,12 +132,11 @@ def cmd_witness(args) -> int:
     tol = args.tol
     doc, system = _load_system(args.path, tol)
     w = build_witness(system, tol, q_cap=args.qmax)
-    components = w.components  # expanded on each read, so read once
-    labels = system.labels
-
-    def factor_name(fid):  # every witness factor is a single atom
-        return labels[w.factors[fid].indices()[0]]
-
+    # Every witness factor is a single atom; only the printed rows get names.
+    names = [system.labels[f.indices()[0]] for f in w.factors]
+    rows = w.components  # built on each read, so read once
+    if rows is not None:
+        rows = [[names[fid] for fid in row] for row in rows[: 64 if args.json else 16].tolist()]
     if args.json:
         payload = {
             "name": doc.name,
@@ -155,9 +154,7 @@ def cmd_witness(args) -> int:
             "q": w.q,
             "k": w.k,
             "component_count": w.component_count,
-            "components": None
-            if components is None
-            else [[factor_name(fid) for fid in comp] for comp in components[:64]],
+            "components": rows,
             "predicted_value": w.predicted_value,
             "verified_value": w.verified_value,
             "cross_checked": w.cross_checked,
@@ -167,19 +164,19 @@ def cmd_witness(args) -> int:
         return EXIT_OK
     print(f"system: {doc.name}  case: {w.case}")
     print(
-        f"  phase pair: ({factor_name(0)}, {factor_name(1)})"
+        f"  phase pair: ({names[0]}, {names[1]})"
         f"  theta = {w.phase_pair.theta:.9g}  r = {w.phase_pair.modulus:.9g}"
     )
     if w.neg_det_atoms is not None:
-        names = ", ".join(labels[i] for i in w.neg_det_atoms)
-        print(f"  neg-det atoms: [{names}]  ee = {w.ee:.9g}  eo = {w.eo:.9g}")
+        atoms = ", ".join(system.labels[i] for i in w.neg_det_atoms)
+        print(f"  neg-det atoms: [{atoms}]  ee = {w.ee:.9g}  eo = {w.eo:.9g}")
         print(f"  p = {w.p}  q = {w.q}  k = {w.k}")
     else:
         print(f"  k = {w.k}")
     print(f"  event components: {w.component_count}")
-    if components is not None:
-        for comp in components[:16]:
-            print("    (" + ", ".join(factor_name(fid) for fid in comp) + ")")
+    if rows is not None:
+        for row in rows:
+            print("    (" + ", ".join(row) + ")")
         if w.component_count > 16:
             print(f"    ... {w.component_count - 16} more")
     print(f"  predicted: {w.predicted_value:.17g}")
@@ -235,10 +232,7 @@ def cmd_probe(args) -> int:
 def cmd_gen(args) -> int:
     system = generate(args.spec, args.tol)
     name = args.name or f"{args.kind}-{args.atoms}-{args.seed}"
-    doc = SystemDocument(
-        name=name, atoms=system.labels, matrix=system.matrix, metadata=system.metadata
-    )
-    write_document(args.output, doc)
+    write_document(args.output, SystemDocument.from_system(name, system))
     print(f"wrote {args.output}: {name} ({args.kind}, {args.atoms} atoms, seed {args.seed})")
     return EXIT_OK
 

@@ -113,12 +113,6 @@ class QuantumSystem:
     def atoms(self) -> tuple[Event, ...]:
         return tuple(self.atom(i) for i in range(self.n))
 
-    def full_event(self) -> Event:
-        return Event.full(self.n)
-
-    def empty_event(self) -> Event:
-        return Event.empty(self.n)
-
     def __repr__(self) -> str:
         return f"QuantumSystem(n={self.n}, labels={self.labels!r})"
 
@@ -262,16 +256,20 @@ def event_measures(matrix: np.ndarray) -> np.ndarray:
 def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
     """The lowest-bitmask event with measure below -slack, and that measure.
 
-    Reads the sweep's blocks in mask order, the low atoms' 2**c masks in
-    doubling blocks from [0, 2) and then high blocks that double in size
-    too, and returns from the first block that holds a confirmed
-    candidate; later blocks are never computed.
-    A candidate counts only when its direct sum Re 1^T M[S,S] 1 is below
-    -slack too; that sum is the returned measure.  Raises
-    ``BruteForceLimitError`` above ``ENUMERATION_LIMIT`` atoms.
+    Sweeps the events of the first ``ENUMERATION_LIMIT`` atoms, the masks
+    below 2**ENUMERATION_LIMIT: a violator there is the lowest of the whole
+    system, and is returned as an event of all n atoms.  None means no
+    violator among them, which decides W only up to ``ENUMERATION_LIMIT``
+    atoms.  Reads the sweep's blocks in mask order, the low atoms' 2**c
+    masks in doubling blocks from [0, 2) and then high blocks that double
+    in size too, and returns from the first block that holds a confirmed
+    candidate; later blocks are never computed.  A candidate counts only
+    when its direct sum Re 1^T M[S,S] 1 is below -slack too; that sum is
+    the returned measure.
     """
-    atoms = np.arange(len(matrix))
-    for first, values in _sweep_blocks(matrix):
+    head = matrix[:ENUMERATION_LIMIT, :ENUMERATION_LIMIT]
+    atoms = np.arange(len(head))
+    for first, values in _sweep_blocks(head):
         if values.min() >= -slack:
             continue
         for offset in np.flatnonzero(values < -slack):
@@ -281,20 +279,6 @@ def first_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float
             if value < -slack:
                 return Event(mask, len(matrix)), value
     return None
-
-
-def _lowest_weak_violation(matrix: np.ndarray, slack: float) -> tuple[Event, float] | None:
-    """``first_weak_violation`` over the events of the first ``ENUMERATION_LIMIT`` atoms.
-
-    Those are the masks below 2**ENUMERATION_LIMIT, so a violator there is
-    the lowest-bitmask violator of the whole system; it is returned as an
-    event of all n atoms.  None means no violator among them, which decides
-    W only up to ``ENUMERATION_LIMIT`` atoms.
-    """
-    n = matrix.shape[0]
-    k = min(n, ENUMERATION_LIMIT)
-    found = first_weak_violation(matrix[:k, :k], slack)
-    return found and (Event(found[0].bits, n), found[1])
 
 
 class StrongResult(NamedTuple):
@@ -417,7 +401,7 @@ def positivity(m: np.ndarray, slack: float) -> Classification:
     if strong or entries.dual.ok:
         weak = True
     else:
-        found = _lowest_weak_violation(m, slack)
+        found = first_weak_violation(m, slack)
         if found:
             weak, (violation, value) = False, found
         else:

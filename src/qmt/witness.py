@@ -15,11 +15,11 @@ atoms, so the power is never materialized.
 The work is done in arrays.  The exponent plan search is bounded: one
 array pass over the exponent rows of the phase pairs (twin pairs once)
 for each candidate subset whose least possible plan rank can still win,
-scanning q only until no larger q can; the components are an index
-array, one gather from the cached permutation tables, built only for the
-literal double sum, the cross-check or a read of ``Witness.components``;
-the literal double sum forms every component pair's slot product, one
-gather per slot.
+scanning q only until no larger q can; the components are one read-only
+array of factor-id rows, one gather from the cached permutation tables,
+built only for the literal double sum, the cross-check or a read of
+``Witness.components``, which builds it again on each read; the literal
+double sum forms every component pair's slot product, one gather per slot.
 """
 
 from __future__ import annotations
@@ -270,10 +270,13 @@ class Witness:
     """A verified negative-measure event in a k-fold self-composition.
 
     ``factors`` lists the distinct building-block events; each component of
-    the constructed event is a k-tuple of factor ids (index into
-    ``factors``), standing for the product event of those factors in slot
-    order.  The event is kept as (factors, p, q); ``components`` expands it
-    into such tuples on each read, or is None past COMPONENT_LIST_CAP.
+    the constructed event is a row of k factor ids (index into ``factors``),
+    standing for the product event of those factors in slot order.  The
+    event is kept as (factors, p, q); ``components`` builds the read-only
+    (component_count, k) intp array of those rows on each read, or is None
+    past COMPONENT_LIST_CAP.  The factors are atoms, so
+    ``np.array([f.indices()[0] for f in w.factors])[w.components]`` holds
+    the components' atom indices.
     ``cross_checked`` is set when the event's measure was also evaluated
     against the Kronecker power M^(x k), which needs at most that many
     components and ``cross_check_limit`` (default 2**20) composed atoms;
@@ -298,25 +301,11 @@ class Witness:
     cross_check_value: float | None = None
 
     @property
-    def components(self) -> tuple[tuple[int, ...], ...] | None:
-        """The rows of ``_component_ids`` as tuples, or None past COMPONENT_LIST_CAP."""
+    def components(self) -> np.ndarray | None:
+        """The read-only ``_component_ids`` rows, or None past COMPONENT_LIST_CAP."""
         if self.component_count > COMPONENT_LIST_CAP:
             return None
-        return tuple(map(tuple, _component_ids(self.p or self.k, self.q or 0,
-                                               len(self.factors) - 2).tolist()))
-
-    def component_atom_tuples(self) -> tuple[tuple[int, ...], ...]:
-        """Components as atom-index tuples; requires singleton factors."""
-        components = self.components
-        if components is None:
-            raise QmtError(f"{self.component_count} components were not materialized")
-        atom_of = []
-        for f in self.factors:
-            idx = f.indices()
-            if len(idx) != 1:
-                raise QmtError(f"factor {f!r} is not a single atom")
-            atom_of.append(idx[0])
-        return tuple(tuple(atom_of[fid] for fid in comp) for comp in components)
+        return _component_ids(self.p or self.k, self.q or 0, len(self.factors) - 2)
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
@@ -581,7 +570,8 @@ def _component_ids(p: int, q: int, m: int) -> np.ndarray:
     comes first, then prefix 1 with odd ones; within a prefix the blocks
     run in ``itertools.product`` order, so block j of row r is the table
     row at digit j of r in base m!/2, one gather for all rows.  There are
-    2 * (m!/2)**q rows of length p + q*m; case (a) is q = 0, m unused.
+    2 * (m!/2)**q rows of length p + q*m, read-only; case (a) is q = 0, m
+    unused.
     """
     half = math.factorial(m) // 2
     out = np.empty((2, half**q, p + q * m), dtype=np.intp)
@@ -589,6 +579,7 @@ def _component_ids(p: int, q: int, m: int) -> np.ndarray:
     if q:
         digits = np.arange(half**q)[:, None] // half ** np.arange(q - 1, -1, -1) % half
         out[:, :, p:] = (_permutations_by_parity(m)[:, digits] + 2).reshape(2, half**q, -1)
+    out.flags.writeable = False
     return out.reshape(2 * half**q, -1)
 
 

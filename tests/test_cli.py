@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -265,6 +266,27 @@ class TestWitnessCommand:
         assert payload["case"] == "b_iii"
         assert payload["verified_value"] < 0
         assert payload["p"] == 2 and payload["q"] == 18
+
+    def test_component_lines(self, tmp_path, capsys):
+        # Seed 46: the first phase atom g1 three times, then nine blocks of
+        # even permutations of the negative-determinant atoms g0, g1, g2, in
+        # itertools.product order; 16 of the 39366 rows are printed.
+        path = str(tmp_path / "w46.json")
+        gen = ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "3", "--seed", "46"]
+        assert run([*gen, "-o", path], capsys)[0] == 0
+        code, out, _ = run(["witness", path], capsys)
+        assert code == 0
+        assert "  phase pair: (g1, g2)" in out and "  neg-det atoms: [g0, g1, g2]" in out
+        assert "  p = 3  q = 9  k = 30\n" in out
+        even = [perm for perm in itertools.permutations(["g0", "g1", "g2"])
+                if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 == 0]
+        rows = (["g1"] * 3 + [atom for block in blocks for atom in block]
+                for blocks in itertools.product(even, repeat=9))
+        expected = ["    (" + ", ".join(row) + ")" for row in itertools.islice(rows, 16)]
+        lines = out.splitlines()
+        start = lines.index("  event components: 39366") + 1
+        assert lines[start : start + 17] == expected + ["    ... 39350 more"]
+        assert [len(line.split(", ")) for line in lines[start : start + 16]] == [30] * 16
 
     def test_posentry_exits_5(self, doc_path, capsys):
         code, _, err = run(["witness", doc_path("posentry_not_strong")], capsys)

@@ -403,8 +403,11 @@ class TestEventSweep:
     def test_limit(self):
         with pytest.raises(BruteForceLimitError):
             event_measures(np.eye(21) / 21)
-        with pytest.raises(BruteForceLimitError):
-            first_weak_violation(np.eye(21) / 21, 1e-9)
+        # Above the limit the sweep covers the first ENUMERATION_LIMIT atoms' events.
+        assert first_weak_violation(np.eye(21) / 21, 1e-9) is None
+        s = generate(GenSpec("hermitian_only", 21, 1))
+        found = first_weak_violation(s.matrix, DEFAULT_TOL.scaled(s.matrix))
+        assert found[0] == Event.from_indices([3], 21) == classify(s).weak_violation
 
 
 class TestQuantalSumRule:

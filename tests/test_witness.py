@@ -61,6 +61,11 @@ from conftest import (
 WEAK = "weak_not_strong_not_posentry"
 
 
+def component_atoms(w):
+    """The components' atom indices: every witness factor is a single atom."""
+    return np.array([f.indices()[0] for f in w.factors])[w.components]
+
+
 def random_hermitian(rng, m):
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     return (c + c.conj().T) / 2.0
@@ -270,7 +275,7 @@ class TestBuildWitness:
         assert w.verified_value == pytest.approx(-0.02)
         assert w.cross_checked
         assert w.cross_check_value == pytest.approx(-0.02)
-        assert w.component_atom_tuples() == ((0, 0), (1, 1))
+        assert component_atoms(w).tolist() == [[0, 0], [1, 1]]
 
     def test_case_b_ii_negative_even_sum(self):
         # all 2x2 principal minors non-negative, 3x3 determinant negative,
@@ -378,8 +383,8 @@ class TestBuildWitness:
             w = build_witness(s)
             if w.components is None:
                 continue
-            assert len(set(w.components)) == w.component_count
-            assert all(len(c) == w.k for c in w.components)
+            assert w.components.shape == (w.component_count, w.k)
+            assert len(np.unique(w.components, axis=0)) == w.component_count
 
     def test_a_repeated_permutation_row_is_caught(self, monkeypatch):
         # The components are distinct exactly when each parity table's rows
@@ -435,7 +440,7 @@ class TestBuildWitness:
 
         power = self_compose(s, w.k)
         bits = 0
-        for comp in w.component_atom_tuples():
+        for comp in component_atoms(w).tolist():
             idx = 0
             for atom in comp:
                 idx = idx * s.n + atom
@@ -455,7 +460,7 @@ class TestBuildWitness:
                     continue
                 assert w.cross_checked, (atoms, seed)
                 flat = []
-                for comp in w.component_atom_tuples():
+                for comp in component_atoms(w).tolist():
                     idx = 0
                     for atom in comp:
                         idx = idx * s.n + atom
@@ -496,8 +501,8 @@ class TestBuildWitness:
         w = build_witness(s)
         assert w.case == case
         ids = _component_ids(w.p or w.k, w.q or 0, len(w.factors) - 2)
-        assert w.components == tuple(map(tuple, ids.tolist()))
-        assert len(w.components) == w.component_count
+        assert np.array_equal(w.components, ids)
+        assert w.components.shape == (w.component_count, w.k)
 
     def test_plans_pinned(self):
         # (case, pair atoms, neg_det_atoms, p, q, k, component_count) of each
@@ -613,7 +618,7 @@ class TestArrayPaths:
                 continue
             ids = [f.indices()[0] for f in w.factors]
             values = s.matrix[np.ix_(ids, ids)]
-            comps = np.array(w.components, dtype=np.intp)
+            comps = w.components
             want = oracle_double_sum(values, comps)
             assert abs(_double_sum(values, comps) - want) <= 1e-14 * abs(want), (atoms, seed)
             checked += 1
@@ -621,7 +626,12 @@ class TestArrayPaths:
 
     def test_large_component_tuple(self):
         w = build_witness(generate(GenSpec(WEAK, 3, 46)))
-        assert w.component_count == len(set(w.components)) == 39366
+        comps = w.components
+        assert comps.dtype == np.intp and comps.shape == (39366, 30)
+        assert not comps.flags.writeable
+        with pytest.raises(ValueError):
+            comps[0, 0] = 1
+        assert w.component_count == len(np.unique(comps, axis=0)) == 39366
         assert not w.cross_checked  # 3**30 composed atoms
 
 
