@@ -46,7 +46,8 @@ class WeakResult(NamedTuple):
 
 
 def _sweep_limit_message(n: int) -> str:
-    return f"weak positivity sweep needs n <= {ENUMERATION_LIMIT}, got {n}"
+    return (f"weakly positive: unknown (no violator on the first {ENUMERATION_LIMIT} of {n}"
+            " atoms, where the sweep stops)")
 
 
 def is_weakly_positive(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> WeakResult:

@@ -134,9 +134,7 @@ def cmd_witness(args) -> int:
     w = build_witness(system, tol, q_cap=args.qmax)
     # Every witness factor is a single atom; only the printed rows get names.
     names = [system.labels[f.indices()[0]] for f in w.factors]
-    rows = w.components  # built on each read, so read once
-    if rows is not None:
-        rows = [[names[fid] for fid in row] for row in rows[: 64 if args.json else 16].tolist()]
+    rows = [[names[i] for i in row] for row in w.component_rows(64 if args.json else 16).tolist()]
     if args.json:
         payload = {
             "name": doc.name,
@@ -174,11 +172,10 @@ def cmd_witness(args) -> int:
     else:
         print(f"  k = {w.k}")
     print(f"  event components: {w.component_count}")
-    if rows is not None:
-        for row in rows:
-            print("    (" + ", ".join(row) + ")")
-        if w.component_count > 16:
-            print(f"    ... {w.component_count - 16} more")
+    for row in rows:
+        print("    (" + ", ".join(row) + ")")
+    if w.component_count > 16:
+        print(f"    ... {w.component_count - 16} more")
     print(f"  predicted: {w.predicted_value:.17g}")
     print(f"  verified:  {w.verified_value:.17g}")
     if w.cross_checked:

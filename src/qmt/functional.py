@@ -465,15 +465,13 @@ def _matrix_axioms(matrix, tol: Tolerance) -> tuple[np.ndarray, AxiomReport]:
         if m.shape[0] == 0:
             raise AxiomViolationError("a system needs at least one atom")
     entry_sum = complex(m.sum())
+    slack = matrix.slack if product else tol.scaled(m)
     # A NaN or infinite entry makes the sum non-finite (so does a sum that
     # overflows, which no normalised matrix has), without a pass of its own.
-    if not cmath.isfinite(entry_sum):
-        raise AxiomViolationError("matrix entries must be finite")
-    if product:
-        slack, herm_residual = matrix.slack, 0.0
-    else:
-        slack = tol.scaled(m)
-        herm_residual = float(np.abs(m - m.conj().T).max())
+    # Entries near 1e154 overflow the norm, and an infinite slack passes anything.
+    if not (cmath.isfinite(entry_sum) and math.isfinite(slack)):
+        raise AxiomViolationError("matrix entries and their norm must be finite")
+    herm_residual = 0.0 if product else float(np.abs(m - m.conj().T).max())
     return m, AxiomReport(
         hermitian=herm_residual <= slack,
         hermitian_residual=herm_residual,

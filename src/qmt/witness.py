@@ -15,11 +15,12 @@ atoms, so the power is never materialized.
 The work is done in arrays.  The exponent plan search is bounded: one
 array pass over the exponent rows of the phase pairs (twin pairs once)
 for each candidate subset whose least possible plan rank can still win,
-scanning q only until no larger q can; the components are one read-only
-array of factor-id rows, one gather from the cached permutation tables,
-built only for the literal double sum, the cross-check or a read of
-``Witness.components``, which builds it again on each read; the literal
-double sum forms every component pair's slot product, one gather per slot.
+scanning q only until no larger q can; a component is a row of factor
+ids, and the first rows of any witness are one gather from the cached
+permutation tables by the digits of the row index: every row only for the
+literal double sum or the cross-check, 16 or 64 for ``qmt witness``, even
+the 3-atom seed-62 witness's 1,062,882; the literal double sum forms every
+component pair's slot product, one gather per slot.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ PAIR_SEARCH_LIMIT = 24
 # same double sum is evaluated blockwise (grouped by shared prefixes and
 # permutation blocks), which is algebraically identical.
 ORACLE_PAIR_CAP = 2048
+# The cross-check builds every component row, up to this many.
 COMPONENT_LIST_CAP = 65536
 # Component pairs whose slot products the literal double sum forms at once.
 DOUBLE_SUM_CELLS = 1 << 17
@@ -272,11 +274,11 @@ class Witness:
     ``factors`` lists the distinct building-block events; each component of
     the constructed event is a row of k factor ids (index into ``factors``),
     standing for the product event of those factors in slot order.  The
-    event is kept as (factors, p, q); ``components`` builds the read-only
-    (component_count, k) intp array of those rows on each read, or is None
-    past COMPONENT_LIST_CAP.  The factors are atoms, so
-    ``np.array([f.indices()[0] for f in w.factors])[w.components]`` holds
-    the components' atom indices.
+    event is kept as (factors, p, q); ``component_rows(count)`` builds the
+    first count of those rows, a read-only intp array, on each call.  The
+    factors are atoms, so ``np.array([f.indices()[0] for f in
+    w.factors])[w.component_rows(w.component_count)]`` holds the
+    components' atom indices.
     ``cross_checked`` is set when the event's measure was also evaluated
     against the Kronecker power M^(x k), which needs at most that many
     components and ``cross_check_limit`` (default 2**20) composed atoms;
@@ -300,12 +302,10 @@ class Witness:
     cross_checked: bool = False
     cross_check_value: float | None = None
 
-    @property
-    def components(self) -> np.ndarray | None:
-        """The read-only ``_component_ids`` rows, or None past COMPONENT_LIST_CAP."""
-        if self.component_count > COMPONENT_LIST_CAP:
-            return None
-        return _component_ids(self.p or self.k, self.q or 0, len(self.factors) - 2)
+    def component_rows(self, count: int) -> np.ndarray:
+        """The first min(count, component_count) rows, read-only, from ``_component_ids``."""
+        count = min(count, self.component_count)
+        return _component_ids(self.p or self.k, self.q or 0, len(self.factors) - 2, count)
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
@@ -520,12 +520,12 @@ def build_witness(
 ) -> Witness:
     """Construct and verify a negative-measure event for Sys^(x k).
 
-    Preconditions: the system has at least two atoms and is weakly positive
-    (``BruteForceLimitError`` where that is unknown), not strongly positive
-    and not positive-entry.  Case (a) applies when both phase-pair diagonals
-    vanish and its value is not too shallow for double precision; otherwise
-    case (b) splits on the signs of the permutation sums of the
-    negative-determinant submatrix.  ``q_cap`` must be at least 1.
+    Preconditions: at least two atoms, weakly positive (``BruteForceLimitError``
+    where that is unknown), not strongly positive and not positive-entry.
+    Case (a) applies when both phase-pair diagonals vanish and its value is
+    not too shallow for double precision; otherwise case (b) splits on the
+    signs of the negative-determinant submatrix's permutation sums.  ``q_cap``
+    must be at least 1; a value past the double range raises ``SearchExhaustedError``.
     """
     if q_cap < 1:
         raise ValueError(f"q_cap must be >= 1, got {q_cap}")
@@ -542,45 +542,52 @@ def build_witness(
     if c.positive_entry:
         raise PreconditionError("system is positive entry")
 
-    pairs = _pair_candidates(s, tol)
-    primary = pairs[0]
-    r_aa = max(0.0, quantal_measure(s, primary.first, tol))
-    r_bb = max(0.0, quantal_measure(s, primary.second, tol))
-    if r_aa <= eps and r_bb <= eps:
-        k, _ = cos_sign_pair(primary.theta)
-        predicted = 2.0 * primary.modulus**k * math.cos(k * primary.theta)
-        if predicted < -VALUE_FLOOR:
-            ids = (primary.first.indices()[0], primary.second.indices()[0])
-            return _finish(
-                s, tol, cross_check_limit, ids,
-                case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
-                p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
-                predicted_value=predicted,
-            )
+    try:
+        pairs = _pair_candidates(s, tol)
+        primary = pairs[0]
+        r_aa = max(0.0, quantal_measure(s, primary.first, tol))
+        r_bb = max(0.0, quantal_measure(s, primary.second, tol))
+        if r_aa <= eps and r_bb <= eps:
+            k, _ = cos_sign_pair(primary.theta)
+            predicted = 2.0 * primary.modulus**k * math.cos(k * primary.theta)
+            if predicted < -VALUE_FLOOR:
+                ids = (primary.first.indices()[0], primary.second.indices()[0])
+                return _finish(
+                    s, tol, cross_check_limit, ids,
+                    case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
+                    p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
+                    predicted_value=predicted,
+                )
 
-    ids, fields = _search_case_b(s, tol, pairs, (r_aa, r_bb), q_cap)
-    return _finish(s, tol, cross_check_limit, ids, **fields)
+        ids, fields = _search_case_b(s, tol, pairs, (r_aa, r_bb), q_cap)
+        return _finish(s, tol, cross_check_limit, ids, **fields)
+    except OverflowError as exc:  # a power of an entry or measure past the double range
+        raise SearchExhaustedError("witness values overflow double precision") from exc
 
 
-def _component_ids(p: int, q: int, m: int) -> np.ndarray:
-    """Components as rows of factor ids: p prefix slots, then q permutation blocks.
+def _component_ids(p: int, q: int, m: int, count: int) -> np.ndarray:
+    """The first ``count`` components as rows of factor ids: p prefix slots, then q blocks.
 
     Factor id 0 is the first phase event, 1 the second, 2..m+1 the
     negative-determinant atoms in subset order.  Prefix 0 with even blocks
-    comes first, then prefix 1 with odd ones; within a prefix the blocks
-    run in ``itertools.product`` order, so block j of row r is the table
-    row at digit j of r in base m!/2, one gather for all rows.  There are
-    2 * (m!/2)**q rows of length p + q*m, read-only; case (a) is q = 0, m
-    unused.
+    comes first, then prefix 1 with odd ones, the blocks in
+    ``itertools.product`` order: row r has prefix r // (m!/2)**q, and block
+    j is that parity's table row at digit j of r mod (m!/2)**q in base
+    m!/2, one gather for all rows.  Place values are capped at ``count``,
+    which changes no digit below it, so the cost does not grow with the
+    component count.  Rows have length p + q*m, read-only; case (a) is
+    q = 0, m unused.
     """
     half = math.factorial(m) // 2
-    out = np.empty((2, half**q, p + q * m), dtype=np.intp)
-    out[:, :, :p] = np.arange(2)[:, None, None]
+    prefix, rest = np.divmod(np.arange(count), min(half**q, count))
+    out = np.empty((count, p + q * m), dtype=np.intp)
+    out[:, :p] = prefix[:, None]
     if q:
-        digits = np.arange(half**q)[:, None] // half ** np.arange(q - 1, -1, -1) % half
-        out[:, :, p:] = (_permutations_by_parity(m)[:, digits] + 2).reshape(2, half**q, -1)
+        place = np.array([min(half**j, count) for j in range(q - 1, -1, -1)], dtype=np.intp)
+        blocks = _permutations_by_parity(m)[prefix[:, None], rest[:, None] // place % half]
+        out[:, p:] = blocks.reshape(count, q * m) + 2
     out.flags.writeable = False
-    return out.reshape(2 * half**q, -1)
+    return out
 
 
 def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
@@ -653,7 +660,7 @@ def _finish(
     literal = count <= ORACLE_PAIR_CAP
     cross = count <= COMPONENT_LIST_CAP and s.n**k <= cross_check_limit
     if literal or cross:
-        comps = _component_ids(fields["p"] or k, fields["q"] or 0, len(ids) - 2)
+        comps = _component_ids(fields["p"] or k, fields["q"] or 0, len(ids) - 2, count)
     values = s.matrix[np.ix_(ids, ids)]
     if literal:
         verified_c = _double_sum(values, comps)

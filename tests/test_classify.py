@@ -60,9 +60,10 @@ class TestWeakPositivity:
         assert eval_D(composed, e, e).real == pytest.approx(-0.4, abs=1e-12)
 
     def test_limit_guard(self):
-        with pytest.raises(BruteForceLimitError):
+        # The first 20 atoms were swept and hold no violator; W is unknown.
+        with pytest.raises(BruteForceLimitError, match=r"first 20 of 21 atoms, where the sweep"):
             is_weakly_positive(weak_only_above_limit())
-        with pytest.raises(BruteForceLimitError):
+        with pytest.raises(BruteForceLimitError, match=r"^weakly positive: unknown \(no violator"):
             is_weakly_positive(violator_past_the_sweep())
 
     def test_violator_on_the_first_twenty_atoms_above_the_limit(self):

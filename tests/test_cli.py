@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmt import cli
+from qmt import cli, witness
 from qmt.cli import main
 from qmt.documents import SystemDocument, bundled_document, read_document, write_document
 from qmt.errors import (
@@ -209,7 +209,10 @@ class TestClassifyCommand:
         # The witness needs W itself, so it stops at the sweep limit.
         code, _, err = run(["witness", str(path)], capsys)
         assert code == 4
-        assert "n <= 20" in err
+        assert err == (
+            "error: weakly positive: unknown (no violator on the first 20 of 22 atoms,"
+            " where the sweep stops)\n"
+        )
 
 
 class TestComposeCommand:
@@ -287,6 +290,36 @@ class TestWitnessCommand:
         start = lines.index("  event components: 39366") + 1
         assert lines[start : start + 17] == expected + ["    ... 39350 more"]
         assert [len(line.split(", ")) for line in lines[start : start + 16]] == [30] * 16
+
+    @pytest.mark.parametrize("flags, count", [([], 16), (["--json"], 64)])
+    def test_only_the_printed_rows_are_built(self, tmp_path, monkeypatch, capsys, flags, count):
+        path = str(tmp_path / "w46.json")
+        gen = ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "3", "--seed", "46"]
+        assert run([*gen, "-o", path], capsys)[0] == 0
+        calls = []
+        real = witness._component_ids
+        monkeypatch.setattr(witness, "_component_ids", lambda *a: calls.append(a) or real(*a))
+        assert run(["witness", *flags, path], capsys)[0] == 0
+        assert calls == [(3, 9, 3, count)]
+
+    def test_rows_of_a_witness_past_the_cross_check_budget(self, tmp_path, capsys):
+        # Seed 62: 1062882 components of 43 slots, too many to cross-check;
+        # the first 16 (text) or 64 (--json) are printed all the same.
+        path = str(tmp_path / "w62.json")
+        gen = ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "3", "--seed", "62"]
+        assert run([*gen, "-o", path], capsys)[0] == 0
+        code, out, _ = run(["witness", path], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        start = lines.index("  event components: 1062882") + 1
+        assert lines[start] == "    (" + ", ".join(["g1"] * 7 + ["g0", "g1", "g2"] * 12) + ")"
+        assert [len(line.split(", ")) for line in lines[start : start + 16]] == [43] * 16
+        assert lines[start + 16] == "    ... 1062866 more"
+        code, out, _ = run(["witness", "--json", path], capsys)
+        payload = json.loads(out)
+        assert (payload["component_count"], payload["cross_checked"]) == (1062882, False)
+        assert len(payload["components"]) == 64
+        assert {len(row) for row in payload["components"]} == {43}
 
     def test_posentry_exits_5(self, doc_path, capsys):
         code, _, err = run(["witness", doc_path("posentry_not_strong")], capsys)

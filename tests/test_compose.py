@@ -152,32 +152,6 @@ class TestFactoredEvaluation:
             assert values[0] == pytest.approx(eval_D(composed, e_a, e_b), abs=1e-12)
 
 
-class TestClosureProperties:
-    def test_kron_of_psd_is_psd(self):
-        rng = np.random.default_rng(19)
-        for _ in range(25):
-            systems = []
-            for _ in range(2):
-                n = int(rng.integers(2, 4))
-                a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-                g = a.conj().T @ a
-                systems.append(QuantumSystem(g / g.sum().real))
-            composed = compose(*systems)
-            assert classify(composed).strongly_positive
-
-    def test_posentry_closure(self):
-        rng = np.random.default_rng(20)
-        for _ in range(25):
-            systems = []
-            for _ in range(2):
-                n = int(rng.integers(2, 4))
-                r = rng.uniform(0.0, 1.0, (n, n))
-                sym = (r + r.T) / 2
-                systems.append(QuantumSystem(sym / sym.sum()))
-            composed = compose(*systems)
-            assert classify(composed).positive_entry
-
-
 class TestMarginalCheck:
     def test_first_factor_atom(self, m_system, n_system):
         value = marginal_check(m_system, n_system, ev([0], 2), ev([0], 2))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,19 @@ class TestQuantumSystem:
             QuantumSystem(m)
         with pytest.raises(AxiomViolationError, match="finite"):
             check_axioms(m)
+
+    @pytest.mark.parametrize("matrix", [
+        [[0.5, 1e200j], [1e200j, 0.5]],  # not Hermitian, by 2e200
+        [[0.6e308, 0.5j], [-0.5j, 0.4e308]],  # entries sum to 1e308
+    ], ids=["non-hermitian", "non-normalised"])
+    def test_rejects_a_norm_past_the_double_range(self, matrix):
+        # The slack scales with the Frobenius norm, which overflows here;
+        # an infinite slack would let any matrix pass.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the norm's overflow
+            for check in (QuantumSystem, check_axioms):
+                with pytest.raises(AxiomViolationError, match="norm must be finite"):
+                    check(np.array(matrix))
 
     @pytest.mark.parametrize("eps", [-1e-9, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_non_negative(self, eps):

@@ -1,4 +1,5 @@
-"""Derandomised property tests: the event sweep, the W-from-S-or-dual(P) rule, documents."""
+"""Derandomised property tests: the event sweep, the W-from-S-or-dual(P) rule, documents,
+composition and the measure round trip."""
 
 import numpy as np
 import pytest
@@ -6,9 +7,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
-from qmt import GenSpec, MeasureTable, SumRuleViolationError, classify, generate
+from qmt import GenSpec, MeasureTable, SumRuleViolationError, classify, compose, generate
 from qmt.documents import dumps, loads
-from qmt.functional import DEFAULT_TOL, event_measures, first_weak_violation
+from qmt.functional import (
+    DEFAULT_TOL,
+    event_measures,
+    first_weak_violation,
+    measure_table,
+    system_from_measure,
+)
 
 from conftest import (
     document,
@@ -111,3 +118,65 @@ def test_documents_round_trip(data, n):
     assert text == oracle_dumps(document(matrix))
     assert same_bits(loads(text).matrix, matrix + 0.0)  # + 0.0 turns -0.0 into +0.0
     assert dumps(loads(text)) == dumps(document(matrix + 0.0))
+
+
+@FIXED
+@given(sizes=st.lists(st.integers(1, 4), min_size=3, max_size=3), seed=st.integers(0, 2**32 - 1))
+def test_compose_is_associative(sizes, seed):
+    """(a.b).c and a.(b.c) agree up to the pair-index permutation of their atoms.
+
+    Atom (i, j, k) sits at (i*nb + j)*nc + k on the left and i*(nb*nc) +
+    (j*nc + k) on the right, so the permutation read off the labels is the
+    identity, and the entries differ only by the rounding of a triple product,
+    a few ulps of the product of the factors' moduli.
+    """
+    rng = np.random.default_rng(seed)
+    a, b, c = (random_hermitian_system(rng, n) for n in sizes)
+    left, right = compose(compose(a, b), c), compose(a, compose(b, c))
+    flat = [label.replace("(", "").replace(")", "") for label in right.labels]
+    perm = np.array([flat.index(label.replace("(", "").replace(")", ""))
+                     for label in left.labels])
+    assert (perm == np.arange(left.n)).all()
+    gap = np.abs(left.matrix - right.matrix[np.ix_(perm, perm)])
+    moduli = np.kron(np.kron(np.abs(a.matrix), np.abs(b.matrix)), np.abs(c.matrix))
+    assert (gap <= 8 * np.finfo(float).eps * moduli).all()
+
+
+@FIXED
+@given(
+    kinds=st.lists(st.sampled_from(["strong", "classical"]), min_size=2, max_size=2),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+)
+def test_strong_composed_with_strong_is_strong(kinds, sizes, seeds):
+    """S (x) S is in S: the Kronecker product of PSD matrices is PSD."""
+    s1, s2 = (generate(GenSpec(*spec)) for spec in zip(kinds, sizes, seeds))
+    assert classify(compose(s1, s2)).strongly_positive
+
+
+@FIXED
+@given(
+    kinds=st.lists(st.sampled_from(["posentry", "classical"]), min_size=2, max_size=2),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=2),
+    seeds=st.lists(st.integers(0, 10**6), min_size=2, max_size=2),
+)
+def test_posentry_composed_with_posentry_is_posentry(kinds, sizes, seeds):
+    """P (x) P is in P: products of non-negative reals are non-negative reals."""
+    s1, s2 = (generate(GenSpec(*spec)) for spec in zip(kinds, sizes, seeds))
+    assert classify(compose(s1, s2)).positive_entry
+
+
+@FIXED
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_measure_table_round_trip(n, seed):
+    """A system's table gives back its real part, whose table is the same table.
+
+    The imaginary part is antisymmetric and adds nothing to any measure, so
+    the real symmetric system is the one the table determines.
+    """
+    s = random_hermitian_system(np.random.default_rng(seed), n)
+    table = measure_table(s)
+    back = system_from_measure(table)
+    scale = np.abs(s.matrix).max()
+    assert np.abs(back.matrix - s.matrix.real).max() <= 1e-12 * scale
+    assert np.abs(measure_table(back).values - table.values).max() <= 1e-12 * scale

@@ -34,6 +34,7 @@ from qmt.errors import (
 )
 from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
+    COMPONENT_LIST_CAP,
     CROSS_CHECK_LIMIT,
     ORACLE_PAIR_CAP,
     SUBSET_SEARCH_LIMIT,
@@ -63,7 +64,7 @@ WEAK = "weak_not_strong_not_posentry"
 
 def component_atoms(w):
     """The components' atom indices: every witness factor is a single atom."""
-    return np.array([f.indices()[0] for f in w.factors])[w.components]
+    return np.array([f.indices()[0] for f in w.factors])[w.component_rows(w.component_count)]
 
 
 def random_hermitian(rng, m):
@@ -369,6 +370,14 @@ class TestBuildWitness:
             with pytest.raises(AxiomViolationError, match="imaginary residues"):
                 build_witness(s)
 
+    def test_values_past_the_double_range(self):
+        # With no slack the 1e20 entries are a phase pair with diagonals
+        # 0.5, and case (b)'s exponent rows take 1e20**p past 1e308.
+        exact = Tolerance(0.0, 0.0)
+        s = QuantumSystem([[0.5, 1e20j], [-1e20j, 0.5]], tol=exact)
+        with pytest.raises(SearchExhaustedError, match="overflow double precision"):
+            build_witness(s, exact)
+
     def test_shallow_case_a_falls_through_to_case_b(self):
         # Zero diagonals select case (a), but at theta = 1e-3 its value
         # 2 r**k cos(k theta), k = 1571, underflows; case (b) then reports.
@@ -381,10 +390,9 @@ class TestBuildWitness:
         for seed in (0, 1, 2, 3):
             s = generate(GenSpec("weak_not_strong_not_posentry", 3, seed))
             w = build_witness(s)
-            if w.components is None:
-                continue
-            assert w.components.shape == (w.component_count, w.k)
-            assert len(np.unique(w.components, axis=0)) == w.component_count
+            rows = w.component_rows(w.component_count)
+            assert rows.shape == (w.component_count, w.k)
+            assert len(np.unique(rows, axis=0)) == w.component_count
 
     def test_a_repeated_permutation_row_is_caught(self, monkeypatch):
         # The components are distinct exactly when each parity table's rows
@@ -405,7 +413,7 @@ class TestBuildWitness:
 
     def test_unread_components_are_not_built(self, monkeypatch):
         # Seed 46: 39366 components, past the literal sum and too large to
-        # cross-check, so nothing reads them until Witness.components does.
+        # cross-check, so no row is built until component_rows asks for some.
         calls = []
         real = witness._component_ids
 
@@ -416,7 +424,31 @@ class TestBuildWitness:
         monkeypatch.setattr(witness, "_component_ids", counted)
         w = build_witness(generate(GenSpec(WEAK, 3, 46)))
         assert (w.component_count, w.cross_checked, calls) == (39366, False, [])
-        assert len(w.components) == 39366 and len(calls) == 1
+        assert w.component_rows(16).shape == (16, 30) and calls == [(3, 9, 3, 16)]
+        assert len(w.component_rows(10**6)) == 39366 and calls[-1] == (3, 9, 3, 39366)
+
+    def test_first_rows_of_a_witness_past_the_cross_check_budget(self):
+        # Seed 62: 1062882 components of 43 slots, more than COMPONENT_LIST_CAP;
+        # its first rows are the first rows of the product order all the same.
+        w = build_witness(generate(GenSpec(WEAK, 3, 62)))
+        assert (w.p, w.q, w.k, w.component_count) == (7, 12, 43, 1062882)
+        assert w.component_count > COMPONENT_LIST_CAP and not w.cross_checked
+        even = _permutations_by_parity(3)[0].tolist()
+        expected = [[0] * 7 + [2 + i for block in blocks for i in block]
+                    for blocks in itertools.islice(itertools.product(even, repeat=12), 64)]
+        rows = w.component_rows(64)
+        assert rows.dtype == np.intp and not rows.flags.writeable
+        assert rows.tolist() == expected
+
+    def test_rows_of_an_astronomical_witness(self):
+        # 2 * 3**300 components: the row index never meets a place value
+        # that large, so the first rows are the even identity blocks and
+        # then the last block's digits.
+        ids = _component_ids(4, 300, 3, 4)
+        assert ids.shape == (4, 904)
+        assert (ids[:, :4] == 0).all() and (ids[:, 4:-6] == [2, 3, 4] * 298).all()
+        assert ids[:, -6:].tolist() == [[2, 3, 4, 2, 3, 4], [2, 3, 4, 3, 4, 2],
+                                        [2, 3, 4, 4, 2, 3], [3, 4, 2, 2, 3, 4]]
 
     def test_soundness_on_generated_systems(self):
         for n in (2, 3):
@@ -490,9 +522,14 @@ class TestBuildWitness:
             for prefix_id, perms in enumerate(tables)
             for choice in itertools.product(perms, repeat=q)
         ]
-        ids = _component_ids(p, q, m)
-        assert ids.dtype == np.intp and ids.shape == (len(expected), p + q * m)
-        assert ids.tolist() == expected
+        # Every count up to 720 rows, then every 61st: each count's rows are
+        # the first rows of the product order.
+        counts = [*range(1, min(len(expected), 720) + 1), *range(721, len(expected), 61)]
+        for count in [*counts, len(expected)]:
+            ids = _component_ids(p, q, m, count)
+            assert ids.dtype == np.intp and ids.shape == (count, p + q * m)
+            assert not ids.flags.writeable
+            assert ids.tolist() == expected[:count], count
 
     @pytest.mark.parametrize("atoms, seed, case", [(3, 93, "b_iii"), (None, None, "a")])
     def test_witness_components_are_the_id_rows(self, atoms, seed, case):
@@ -500,9 +537,12 @@ class TestBuildWitness:
              QuantumSystem([[0.0, 0.1j, 0.0], [-0.1j, 0.0, 0.0], [0.0, 0.0, 1.0]]))
         w = build_witness(s)
         assert w.case == case
-        ids = _component_ids(w.p or w.k, w.q or 0, len(w.factors) - 2)
-        assert np.array_equal(w.components, ids)
-        assert w.components.shape == (w.component_count, w.k)
+        count = w.component_count
+        ids = _component_ids(w.p or w.k, w.q or 0, len(w.factors) - 2, count)
+        assert np.array_equal(w.component_rows(count), ids)
+        assert w.component_rows(count).shape == (count, w.k)
+        assert np.array_equal(w.component_rows(count + 1), ids)
+        assert np.array_equal(w.component_rows(1), ids[:1])
 
     def test_plans_pinned(self):
         # (case, pair atoms, neg_det_atoms, p, q, k, component_count) of each
@@ -618,7 +658,7 @@ class TestArrayPaths:
                 continue
             ids = [f.indices()[0] for f in w.factors]
             values = s.matrix[np.ix_(ids, ids)]
-            comps = w.components
+            comps = w.component_rows(w.component_count)
             want = oracle_double_sum(values, comps)
             assert abs(_double_sum(values, comps) - want) <= 1e-14 * abs(want), (atoms, seed)
             checked += 1
@@ -626,7 +666,7 @@ class TestArrayPaths:
 
     def test_large_component_tuple(self):
         w = build_witness(generate(GenSpec(WEAK, 3, 46)))
-        comps = w.components
+        comps = w.component_rows(w.component_count)
         assert comps.dtype == np.intp and comps.shape == (39366, 30)
         assert not comps.flags.writeable
         with pytest.raises(ValueError):
