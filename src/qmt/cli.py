@@ -207,7 +207,10 @@ def cmd_probe(args) -> int:
     else:
         v = is_strongly_positive(system, tol).eigenvector
         source = "min-eigenvector"
-    probe = build_probe_system(v, tol)
+    try:
+        probe = build_probe_system(v, tol)
+    except ValueError as exc:  # a given vector too large for doubles; an eigenvector is unit
+        raise DocumentError(f"probe vector {args.vector!r} is too large: {exc}") from exc
     value = probe_quadratic_form(system, system.atoms(), probe, tol)
     if args.json:
         payload = {

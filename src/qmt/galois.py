@@ -13,6 +13,7 @@ factors, so the composed system is never formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +31,8 @@ class ProbeSystem(QuantumSystem):
 
     The atomic matrix carries conj(v_A) v_B / rho on the v-block, 1/rho on
     the extra corner atom, and zeros elsewhere.  The corner atom keeps rho
-    strictly positive even when the components of v sum to zero.
+    strictly positive even when the components of v sum to zero.  A vector
+    so large that rho or the outer product overflows raises ``ValueError``.
     """
 
     __slots__ = ("rho", "vector")
@@ -39,11 +41,18 @@ class ProbeSystem(QuantumSystem):
         vec = np.array(v, dtype=complex).reshape(-1)
         if vec.size == 0:
             raise ValueError("probe vector must be non-empty")
-        total = complex(vec.sum())
-        rho = 1.0 + abs(total) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+            total = complex(vec.sum())
+            try:
+                rho = 1.0 + abs(total) ** 2
+            except OverflowError:
+                rho = math.inf
+            block = np.outer(vec.conj(), vec) / rho
+        if not (math.isfinite(rho) and np.isfinite(block).all()):
+            raise ValueError("rho = 1 + |sum(v)|^2 or conj(v) v^T / rho overflows double precision")
         m = vec.size
         matrix = np.zeros((m + 1, m + 1), dtype=complex)
-        matrix[:m, :m] = np.outer(vec.conj(), vec) / rho
+        matrix[:m, :m] = block
         matrix[m, m] = 1.0 / rho
         labels = tuple(f"p{i}" for i in range(m)) + ("x",)
         super().__init__(matrix, labels, tol=tol, metadata={"rho": rho})

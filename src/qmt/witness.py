@@ -8,9 +8,10 @@ principal atomic submatrix with negative determinant, picks exponents from
 the cosine sign recipe and the even/odd permutation sums, and verifies the
 predicted negative value by direct summation over the event's product
 components.  Up to 2**20 composed atoms the value is cross-checked against
-the operator M^(x k) itself: the embedded event's indicator is evaluated
-under the k-fold Kronecker power by mode products on blocks of at most 64
-atoms, so the power is never materialized.
+the operator M^(x k) itself: the measure is summed over pairs of the
+event's composed atom indices, each term a product of entries of Kronecker
+blocks of at most 64 atoms, so neither the power nor the event's n**k
+indicator is formed.
 
 The work is done in arrays.  The exponent plan search is bounded: one
 array pass over the exponent rows of the phase pairs (twin pairs once)
@@ -69,7 +70,9 @@ COMPONENT_LIST_CAP = 65536
 # Component pairs whose slot products the literal double sum forms at once.
 DOUBLE_SUM_CELLS = 1 << 17
 # Largest composed atom count n**k the cross-check evaluates, and the largest
-# Kronecker block it materializes on the way.
+# Kronecker block it materializes on the way.  Its cost grows as the square of
+# the number of the event's composed indices (at most 720 within the limit),
+# not as n**k.
 CROSS_CHECK_LIMIT = 1 << 20
 KRON_BLOCK_ATOMS = 64
 # A row of the plan search's exponent table: pair index, p, x_p, y_p, cos(p*theta).
@@ -228,7 +231,9 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     subsets keep the permutation sums and component counts downstream
     small, so they are preferred, but later candidates matter when the
     first subset's permutation sums leave no feasible exponent.  Raises
-    SearchExhaustedError when there is none.
+    SearchExhaustedError when there is none; its message says whether the
+    system is PSD within tolerance or its negative minors, if any, have
+    more than PERM_ORDER_MAX atoms.
     """
     n = s.n
     m = s.matrix
@@ -251,10 +256,14 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
                     return
     if not found:
         lo = float(np.linalg.eigvalsh(m)[0])
-        raise SearchExhaustedError(
-            f"no principal submatrix of size <= {PERM_ORDER_MAX} has negative determinant "
-            f"(lambda_min = {lo:.3e}); the system is PSD or borderline"
-        )
+        searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
+                    f"determinant (lambda_min = {lo:.3e})")
+        if n > PERM_ORDER_MAX and lo < -tol.scaled(m):
+            raise SearchExhaustedError(
+                f"{searched}; the system is not PSD, and a negative minor, if there is one, "
+                f"has more than {PERM_ORDER_MAX} atoms, past the search bound"
+            )
+        raise SearchExhaustedError(f"{searched}; the system is PSD or borderline")
 
 
 def find_negative_det_subset(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> NegDetSubset:
@@ -610,11 +619,24 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
 def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> float:
     """Measure under M^(x k) of the event whose components' k atoms are the rows of ``atoms``.
 
-    The k factors are grouped into blocks self_compose(s, j), j the largest
-    power with n**j <= KRON_BLOCK_ATOMS, plus one block of the k mod j left
-    over; ``_kron_form`` applies them to the event's indicator reshaped to
-    the blocks' dimensions.  Blocks amortise the per-axis overhead that k
-    separate n x n products would pay, while memory stays O(n**k).
+    The k factors are grouped into blocks B_t = self_compose(s, j), j the
+    largest power with n**j <= KRON_BLOCK_ATOMS, plus one block of the
+    k mod j left over.  The event's support is its composed indices, sorted
+    and without repeats (rows that name the same composed atom count once),
+    and the measure is the sum over index pairs (a, b) of the support of
+    prod_t B_t[a_t, b_t], a_t the block digits of a in the blocks'
+    dimensions, first block most significant as in the pair-index
+    convention: one count x count gather per block, so time and memory are
+    O(count**2 * r) for count indices and r blocks, not O(n**k).
+
+    The value runs through the composed index space and the materialised
+    blocks, so it shares nothing with ``_double_sum`` or
+    ``_blockwise_value``.  Within CROSS_CHECK_LIMIT = 2**20 composed atoms
+    count = 2 (m!/2)**q is at most 720: m <= 6, n >= m and k = p + q m with
+    p >= 1 leave m = 6, q = 1 (6**7 atoms) as the largest, a table of
+    518,400 cells (8.3 MB).  Under COMPONENT_LIST_CAP components count**2
+    stays below 1.86 n**k at any limit, so no caller's limit makes the
+    table much larger than the n**k indicator it replaces.
     """
     n, k = s.n, atoms.shape[1]
     j = 1
@@ -623,9 +645,12 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> flo
     blocks = [self_compose(s, j, tol).matrix] * (k // j)
     if k % j:
         blocks.append(self_compose(s, k % j, tol).matrix)
-    v = np.zeros(n**k)
-    v[np.ravel_multi_index(tuple(atoms.T), (n,) * k)] = 1.0
-    z = _kron_form(blocks, v, v)
+    support = np.unique(np.ravel_multi_index(tuple(atoms.T), (n,) * k))
+    digits = np.unravel_index(support, [len(b) for b in blocks])
+    table = blocks[0][digits[0][:, None], digits[0]]
+    for b, d in zip(blocks[1:], digits[1:]):
+        table *= b[d[:, None], d]
+    z = complex(table.sum())
     # The Frobenius norm of M^(x k) is |M|**k, so this is the slack
     # quantal_measure would allow on the materialized power.
     if abs(z.imag) > tol.slack(float(np.linalg.norm(s.matrix)) ** k):

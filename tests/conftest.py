@@ -107,6 +107,17 @@ def weak_only_above_limit(n=21):
     return QuantumSystem(base + 0.05j * (k - k.T) / np.abs(k - k.T).max())
 
 
+def negative_minor_past_the_cap(n=7):
+    """M_jl = (delta_jl + 0.25 i sgn(l - j)) / n: in W and dual(P), not S or P.
+
+    Each k-atom principal submatrix has lambda_min (1 - 0.25 cot(pi / 2k)) / n,
+    which is >= 0 for k <= 6, so at n >= 7 every negative minor has more
+    than 6 atoms.
+    """
+    j = np.arange(n)
+    return QuantumSystem((np.eye(n) + 0.25j * np.sign(j[None, :] - j[:, None])) / n)
+
+
 def gen_posentry_not_strong(n, seed):
     """Positive-entry system that is not strongly positive (retry until hit)."""
     for attempt in range(200):

@@ -24,7 +24,12 @@ from qmt.errors import (
     SumRuleViolationError,
 )
 
-from conftest import classical_outside_s, strong_with_a_negative_event, violator_past_the_sweep
+from conftest import (
+    classical_outside_s,
+    negative_minor_past_the_cap,
+    strong_with_a_negative_event,
+    violator_past_the_sweep,
+)
 
 # Exit codes as documented in the cli module docstring and README.
 DOCUMENTED_EXIT_CODES = {
@@ -335,6 +340,19 @@ class TestWitnessCommand:
         code, _, err = run(["witness", "--qmax", "1", doc_path("weak_only")], capsys)
         assert code == 6
 
+    def test_negative_minor_past_the_cap_names_the_search_bound(self, tmp_path, capsys):
+        # W yes and S no, but every principal submatrix of at most 6 of its 7
+        # atoms is PSD: the search ends at its bound, not at a PSD system.
+        path = tmp_path / "m7.json"
+        write_document(path, SystemDocument.from_system("m7", negative_minor_past_the_cap(7)))
+        code, _, err = run(["witness", str(path)], capsys)
+        assert code == 1
+        assert err == (
+            "error: no principal submatrix of at most 6 atoms has negative determinant "
+            "(lambda_min = -1.362e-02); the system is not PSD, and a negative minor, "
+            "if there is one, has more than 6 atoms, past the search bound\n"
+        )
+
 
 class TestProbeCommand:
     def test_reference_vector(self, doc_path, capsys):
@@ -370,6 +388,17 @@ class TestProbeCommand:
             code, _, err = run(argv, capsys)
         assert code == 2
         assert err == f"error: probe vector {vector!r} has a non-finite entry\n"
+
+    @pytest.mark.parametrize("vector", ["1e200,-1e200", "1e308,1e308", "1e200,1"])
+    def test_vector_past_the_double_range_exits_2(self, doc_path, capsys, vector):
+        # Finite entries, but rho = 1 + |sum(v)|^2 or the outer product overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["probe", doc_path("posentry_not_strong"), "--vector", vector]
+            code, out, err = run(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: probe vector {vector!r} is too large: rho = 1 + |sum(v)|^2 "
+                       "or conj(v) v^T / rho overflows double precision\n")
 
     def test_complex_vector_parsing(self, doc_path, capsys):
         code, out, _ = run(

@@ -49,6 +49,11 @@ class TestBuildProbeSystem:
         with pytest.raises(ValueError):
             build_probe_system([])
 
+    @pytest.mark.parametrize("v", [[1e200, -1e200], [1e308, 1e308], [1e200, 1.0], [1e160j]])
+    def test_rejects_a_vector_past_the_double_range(self, v):
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="overflows double"):
+            build_probe_system(v)
+
 
 class TestProbeQuadraticForm:
     def test_reference_negative_value(self, n_system):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from qmt import (
     tensor_closed_probe,
 )
 from qmt import witness
+from qmt.compose import _kron_form
 from qmt.errors import (
     AxiomViolationError,
     PreconditionError,
@@ -44,6 +46,7 @@ from qmt.witness import (
     _component_ids,
     _double_sum,
     _exponent_terms,
+    _kronecker_value,
     _neg_det_candidates,
     _pair_candidates,
     _perm_block_sums,
@@ -55,8 +58,10 @@ from qmt.witness import (
 from conftest import (
     gen_posentry_not_strong,
     gen_strong_not_posentry,
+    negative_minor_past_the_cap,
     oracle_double_sum,
     oracle_search_case_b,
+    random_hermitian_system,
 )
 
 WEAK = "weak_not_strong_not_posentry"
@@ -236,8 +241,20 @@ class TestFindNegativeDetSubset:
         assert neg.det == pytest.approx(-0.01)
 
     def test_psd_input_exhausts(self, m_system):
-        with pytest.raises(SearchExhaustedError):
+        with pytest.raises(SearchExhaustedError, match="the system is PSD or borderline"):
             find_negative_det_subset(m_system)
+
+    def test_a_negative_minor_past_the_cap_is_not_called_psd(self):
+        s = negative_minor_past_the_cap(7)
+        c = classify(s)
+        assert c.weakly_positive and not c.strongly_positive and not c.positive_entry
+        assert c.min_eigenvalue == pytest.approx(-1.362e-2, abs=1e-5)
+        with pytest.raises(SearchExhaustedError) as info:
+            build_witness(s)
+        message = str(info.value)
+        assert "no principal submatrix of at most 6 atoms" in message
+        assert "a negative minor, if there is one, has more than 6 atoms" in message
+        assert "PSD or borderline" not in message
 
     def test_smallest_subset_preferred(self):
         # non-PSD only through a 2x2 block sitting in a 3-atom system
@@ -512,6 +529,40 @@ class TestBuildWitness:
         assert w.cross_checked
         assert w.cross_check_value == pytest.approx(w.verified_value, rel=1e-9)
         assert not build_witness(s, cross_check_limit=4096).cross_checked
+
+    def test_kronecker_value_matches_mode_products_on_the_indicator(self):
+        # Random supports, some rows repeated, against the dense indicator
+        # contracted by k separate n x n mode products.
+        rng = np.random.default_rng(7)
+        cases = [(2, k) for k in (1, 2, 5, 7, 12)] + [(3, k) for k in (3, 4, 9)]
+        cases += [(4, k) for k in (2, 3, 7)]
+        for n, k in cases:
+            s = random_hermitian_system(rng, n)
+            for count in (1, 2, 7, 40):
+                atoms = rng.integers(0, n, (count, k))
+                if count > 1:
+                    atoms[-1] = atoms[0]
+                v = np.zeros(n**k)
+                v[np.ravel_multi_index(tuple(atoms.T), (n,) * k)] = 1.0
+                reference = _kron_form([s.matrix] * k, v, v)
+                value = _kronecker_value(s, atoms, DEFAULT_TOL)
+                assert abs(value - reference.real) <= 1e-13 * abs(reference), (n, k, count)
+
+    def test_kronecker_value_memory_does_not_grow_with_the_composed_atoms(self):
+        # Seed 22: k = 11, so 3**11 = 177147 composed atoms, of which the
+        # event holds 2; one float per composed atom would take 1.4 MB.
+        s = generate(GenSpec(WEAK, 3, 22))
+        w = build_witness(s)
+        assert (w.k, w.component_count, w.cross_checked) == (11, 2, True)
+        atoms = component_atoms(w)
+        tracemalloc.start()
+        try:
+            value = _kronecker_value(s, atoms, DEFAULT_TOL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == w.cross_check_value
+        assert peak < 3**11 * 8
 
     @pytest.mark.parametrize("p, q, m", [(1, 1, 2), (3, 2, 3), (2, 3, 3), (1, 2, 4),
                                          (2, 0, 3), (5, 0, 0), (1, 1, 6), (2, 2, 5)])
