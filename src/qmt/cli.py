@@ -132,16 +132,16 @@ def cmd_witness(args) -> int:
     tol = args.tol
     doc, system = _load_system(args.path, tol)
     w = build_witness(system, tol, q_cap=args.qmax)
-    # Every witness factor is a single atom; only the printed rows get names.
-    names = [system.labels[f.indices()[0]] for f in w.factors]
+    # Only the printed rows are built and labelled.
+    names = [system.labels[i] for i in w.atoms]
     rows = [[names[i] for i in row] for row in w.component_rows(64 if args.json else 16).tolist()]
     if args.json:
         payload = {
             "name": doc.name,
             "case": w.case,
             "phase_pair": {
-                "first": list(w.phase_pair.first.indices()),
-                "second": list(w.phase_pair.second.indices()),
+                "first": [w.phase_pair.first],
+                "second": [w.phase_pair.second],
                 "theta": w.phase_pair.theta,
                 "modulus": w.phase_pair.modulus,
             },

@@ -464,11 +464,13 @@ def _matrix_axioms(matrix, tol: Tolerance) -> tuple[np.ndarray, AxiomReport]:
             raise AxiomViolationError(f"atomic matrix must be square, got shape {m.shape}")
         if m.shape[0] == 0:
             raise AxiomViolationError("a system needs at least one atom")
-    entry_sum = complex(m.sum())
-    slack = matrix.slack if product else tol.scaled(m)
     # A NaN or infinite entry makes the sum non-finite (so does a sum that
     # overflows, which no normalised matrix has), without a pass of its own.
     # Entries near 1e154 overflow the norm, and an infinite slack passes anything.
+    # Both overflows are refused here, so numpy is not asked to warn of them.
+    with np.errstate(over="ignore"):
+        entry_sum = complex(m.sum())
+        slack = matrix.slack if product else tol.scaled(m)
     if not (cmath.isfinite(entry_sum) and math.isfinite(slack)):
         raise AxiomViolationError("matrix entries and their norm must be finite")
     herm_residual = 0.0 if product else float(np.abs(m - m.conj().T).max())

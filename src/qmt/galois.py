@@ -23,7 +23,7 @@ from .algebra import Event
 from .classify import is_in_dual_of_posentry, is_strongly_positive
 from .compose import _kron_form
 from .errors import AxiomViolationError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators, _min_eigenvalue
 
 
 class ProbeSystem(QuantumSystem):
@@ -64,7 +64,7 @@ class ProbeSystem(QuantumSystem):
 def build_probe_system(v, tol: Tolerance = DEFAULT_TOL) -> ProbeSystem:
     """Construct the PSD probe for a vector; PSD and normalized by construction."""
     probe = ProbeSystem(v, tol=tol)
-    lo = float(np.linalg.eigvalsh(probe.matrix)[0])
+    lo = _min_eigenvalue(probe.matrix)
     if lo < -tol.scaled(probe.matrix):
         raise AxiomViolationError(f"probe system unexpectedly not PSD (lambda_min={lo:.3e})")
     return probe

@@ -15,7 +15,7 @@ import numpy as np
 
 from .classify import is_positive_entry
 from .errors import SearchExhaustedError
-from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, positivity
+from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _min_eigenvalue, positivity
 
 KINDS = (
     "strong",
@@ -101,7 +101,7 @@ def _draw_weak_only(rng, n):
     kappa = float(np.abs(base).max()) / 2.0
     for _ in range(71):
         candidate = base + 1j * kappa * anti
-        lo = float(np.linalg.eigvalsh(candidate)[0])
+        lo = _min_eigenvalue(candidate)
         if lo < -0.02 * float(np.linalg.norm(candidate)):
             return candidate
         kappa *= 2.0

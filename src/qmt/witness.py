@@ -16,12 +16,12 @@ indicator is formed.
 The work is done in arrays.  The exponent plan search is bounded: one
 array pass over the exponent rows of the phase pairs (twin pairs once)
 for each candidate subset whose least possible plan rank can still win,
-scanning q only until no larger q can; a component is a row of factor
-ids, and the first rows of any witness are one gather from the cached
-permutation tables by the digits of the row index: every row only for the
-literal double sum or the cross-check, 16 or 64 for ``qmt witness``, even
-the 3-atom seed-62 witness's 1,062,882; the literal double sum forms every
-component pair's slot product, one gather per slot.
+scanning q only until no larger q can; a component is a row of ids into
+the witness's atoms, and the first rows of any witness are one gather
+from the cached permutation tables by the digits of the row index: every
+row only for the literal double sum or the cross-check, 16 or 64 for
+``qmt witness``, even the 3-atom seed-62 witness's 1,062,882; the literal
+double sum forms every component pair's slot product, one gather per slot.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .functional import (
     QuantumSystem,
     Tolerance,
     _indicators,
-    quantal_measure,
+    _min_eigenvalue,
 )
 
 # Largest permutation-sum order, and so the largest negative-determinant subset.
@@ -148,12 +148,18 @@ class PermSums:
     order: int
 
 
-def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
-    """Compute ee and eo (orders 2..6); both are real for Hermitian input."""
+def _square(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` as a complex array; ValueError unless it is a square matrix."""
     n = np.asarray(matrix, dtype=complex)
-    m = n.shape[0]
     if n.ndim != 2 or n.shape[0] != n.shape[1]:
         raise ValueError(f"matrix must be square, got shape {n.shape}")
+    return n
+
+
+def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
+    """Compute ee and eo (orders 2..6); both are real for Hermitian input."""
+    n = _square(matrix)
+    m = n.shape[0]
     ee, eo = _perm_block_sums(n, "ee", "eo")
     half = math.factorial(m) // 2
     scale = half * half * max(1.0, float(np.abs(n).max())) ** m
@@ -168,7 +174,7 @@ def perm_sums(matrix: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> PermSums:
 
 def det_identity_residual(matrix: np.ndarray) -> float:
     """Residual of the identity m! * det = 2*ee - 2*eo for a square matrix."""
-    n = np.asarray(matrix, dtype=complex)
+    n = _square(matrix)
     m = n.shape[0]
     ee, eo = _perm_block_sums(n, "ee", "eo")
     det = complex(np.linalg.det(n))
@@ -198,22 +204,24 @@ def cos_sign_pair(theta: float) -> tuple[int, int]:
 
 
 class PhasePair(NamedTuple):
-    first: Event
-    second: Event
+    """Two distinct atoms, by index, and the polar form of their entry M[first, second]."""
+
+    first: int
+    second: int
     theta: float
     modulus: float
 
 
 def find_phase_pair(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> PhasePair:
-    """Disjoint event pair with non-zero modulus and non-zero phase.
+    """Two distinct atoms whose entry has non-zero modulus and non-zero phase.
 
     For a weakly positive system the diagonal atomic entries are atom
     measures, hence non-negative, so any entry violating the positive-entry
-    condition sits off the diagonal and the scan over off-diagonal atomic
-    pairs is sufficient.  Among valid pairs the one with the largest phase
-    magnitude wins (ties by row-major order): phases near zero force huge
-    exponents downstream.  Raises SearchExhaustedError when no off-diagonal
-    entry has a phase.
+    condition sits off the diagonal and the scan over pairs of distinct
+    atoms, the construction's disjoint events, is sufficient.  Among valid
+    pairs the one with the largest phase magnitude wins (ties by row-major
+    order): phases near zero force huge exponents downstream.  Raises
+    SearchExhaustedError when no off-diagonal entry has a phase.
     """
     return _pair_candidates(s, tol)[0]
 
@@ -239,11 +247,8 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     m = s.matrix
     found = 0
     for size in range(2, min(n, PERM_ORDER_MAX) + 1):
-        masked = sorted(
-            (sum(1 << i for i in combo), combo)
-            for combo in itertools.combinations(range(n), size)
-        )
-        for _, combo in masked:
+        combos = itertools.combinations(range(n), size)
+        for combo in sorted(combos, key=lambda c: sum(1 << i for i in c)):
             idx = np.array(combo, dtype=np.intp)
             sub = m[np.ix_(idx, idx)]
             det = complex(np.linalg.det(sub)).real
@@ -255,7 +260,7 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
                 if found >= limit:
                     return
     if not found:
-        lo = float(np.linalg.eigvalsh(m)[0])
+        lo = _min_eigenvalue(m)
         searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
                     f"determinant (lambda_min = {lo:.3e})")
         if n > PERM_ORDER_MAX and lo < -tol.scaled(m):
@@ -280,13 +285,13 @@ def find_negative_det_subset(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> 
 class Witness:
     """A verified negative-measure event in a k-fold self-composition.
 
-    ``factors`` lists the distinct building-block events; each component of
-    the constructed event is a row of k factor ids (index into ``factors``),
-    standing for the product event of those factors in slot order.  The
-    event is kept as (factors, p, q); ``component_rows(count)`` builds the
-    first count of those rows, a read-only intp array, on each call.  The
-    factors are atoms, so ``np.array([f.indices()[0] for f in
-    w.factors])[w.component_rows(w.component_count)]`` holds the
+    ``atoms`` lists the distinct building-block atoms by index: the phase
+    pair's two, then the negative-determinant subset's.  Each component of
+    the constructed event is a row of k ids into ``atoms``, standing for the
+    product of those atoms' singleton events in slot order.  The event is
+    kept as (atoms, p, q); ``component_rows(count)`` builds the first count
+    of those rows, a read-only intp array, on each call, so
+    ``np.array(w.atoms)[w.component_rows(w.component_count)]`` holds the
     components' atom indices.
     ``cross_checked`` is set when the event's measure was also evaluated
     against the Kronecker power M^(x k), which needs at most that many
@@ -304,7 +309,7 @@ class Witness:
     k: int
     x_p: float | None
     y_p: float | None
-    factors: tuple[Event, ...]
+    atoms: tuple[int, ...]
     component_count: int
     predicted_value: float
     verified_value: float
@@ -314,7 +319,7 @@ class Witness:
     def component_rows(self, count: int) -> np.ndarray:
         """The first min(count, component_count) rows, read-only, from ``_component_ids``."""
         count = min(count, self.component_count)
-        return _component_ids(self.p or self.k, self.q or 0, len(self.factors) - 2, count)
+        return _component_ids(self.p or self.k, self.q or 0, len(self.atoms) - 2, count)
 
 
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
@@ -362,22 +367,18 @@ def _exponent_terms(pair: PhasePair, raa: float, rbb: float, q_cap: int) -> tupl
 
 
 def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
-    """Valid atomic phase pairs, largest phase magnitude first; never empty."""
+    """Valid atomic phase pairs, largest phase magnitude first, then row-major; never empty."""
     eps = tol.scaled(s.matrix)
     out = []
-    for i in range(s.n):
-        for j in range(s.n):
-            if i == j:
-                continue
-            pe = polar(complex(s.matrix[i, j]), eps)
-            if pe.r > 0.0 and pe.theta != 0.0:
-                out.append((-abs(pe.theta), i, j, PhasePair(s.atom(i), s.atom(j), pe.theta, pe.r)))
+    for i, j in itertools.product(range(s.n), repeat=2):
+        if i != j and (pe := polar(complex(s.matrix[i, j]), eps)).r > 0.0 and pe.theta != 0.0:
+            out.append(PhasePair(i, j, pe.theta, pe.r))
     if not out:
         raise SearchExhaustedError(
             "no event pair with non-trivial phase: system is positive-entry within tolerance"
         )
-    out.sort(key=lambda item: item[:3])
-    return [item[3] for item in out]
+    out.sort(key=lambda pr: (-abs(pr.theta), pr.first, pr.second))
+    return out
 
 
 def _first_q(x: np.ndarray, yc: np.ndarray, p: np.ndarray, sums: PermSums,
@@ -426,7 +427,6 @@ def _search_case_b(
     s: QuantumSystem,
     tol: Tolerance,
     pairs: Sequence[PhasePair],
-    primary_measures: tuple[float, float],
     q_cap: int,
 ) -> tuple[tuple[int, ...], dict]:
     """Pick subset, phase pair and exponents for the general construction.
@@ -447,20 +447,16 @@ def _search_case_b(
     sums are taken and checked, but a subset of size m whose least rank
     (2 (m!/2), m + 1, subset) is not below the best so far gets no array
     pass over the table.  A pass scans q by ``_first_q`` and picks the
-    subset's winner by ``np.lexsort``.  Each atom's measure is taken once;
-    ``primary_measures`` are the clamped measures of ``pairs[0]``, which
-    the caller has already taken.  Returns the winner's atom ids (phase
-    pair, then subset) and its ``Witness`` fields.
+    subset's winner by ``np.lexsort``.  The atom measures are the clamped
+    real diagonal, max(0, Re M_ii); ``build_witness`` has checked Im M_ii.
+    Returns the winner's atom ids (phase pair, then subset) and its
+    ``Witness`` fields.
     """
     best = None
     ratios = []
     subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
     searched = pairs[:PAIR_SEARCH_LIMIT]
-    # Atom measures, keyed by atom event: the pairs share their atoms.
-    measures = dict(zip((pairs[0].first, pairs[0].second), primary_measures))
-    for event in (e for pr in searched[1:] for e in (pr.first, pr.second)):
-        if event not in measures:
-            measures[event] = max(0.0, quantal_measure(s, event, tol))
+    measures = [max(0.0, r) for r in s.matrix.diagonal().real.tolist()]
     tables = None
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
@@ -503,7 +499,7 @@ def _search_case_b(
         rank = (2 * half**qw, kw, si, pi, p)
         if best is None or rank < best[0]:
             pair = searched[pi]
-            ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+            ids = (pair.first, pair.second) + neg.atoms
             best = rank, ids, dict(
                 case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
                 p=p, q=qw, k=kw, x_p=float(x[w]), y_p=float(rows["y"][w]),
@@ -533,8 +529,10 @@ def build_witness(
     where that is unknown), not strongly positive and not positive-entry.
     Case (a) applies when both phase-pair diagonals vanish and its value is
     not too shallow for double precision; otherwise case (b) splits on the
-    signs of the negative-determinant submatrix's permutation sums.  ``q_cap``
-    must be at least 1; a value past the double range raises ``SearchExhaustedError``.
+    signs of the negative-determinant submatrix's permutation sums.  The
+    atom measures are the real diagonal; an imaginary part past ``tol``'s
+    slack anywhere on it raises ``AxiomViolationError``.  ``q_cap`` must be
+    at least 1; a value past the double range raises ``SearchExhaustedError``.
     """
     if q_cap < 1:
         raise ValueError(f"q_cap must be >= 1, got {q_cap}")
@@ -553,31 +551,35 @@ def build_witness(
 
     try:
         pairs = _pair_candidates(s, tol)
+        diagonal = s.matrix.diagonal()
+        i = int(np.abs(diagonal.imag).argmax())
+        if abs(diagonal[i].imag) > eps:
+            raise AxiomViolationError(
+                f"measure of atom {i} has imaginary residue {diagonal[i].imag:.3e}; "
+                "input not Hermitian"
+            )
         primary = pairs[0]
-        r_aa = max(0.0, quantal_measure(s, primary.first, tol))
-        r_bb = max(0.0, quantal_measure(s, primary.second, tol))
-        if r_aa <= eps and r_bb <= eps:
+        if diagonal[primary.first].real <= eps and diagonal[primary.second].real <= eps:
             k, _ = cos_sign_pair(primary.theta)
             predicted = 2.0 * primary.modulus**k * math.cos(k * primary.theta)
             if predicted < -VALUE_FLOOR:
-                ids = (primary.first.indices()[0], primary.second.indices()[0])
                 return _finish(
-                    s, tol, cross_check_limit, ids,
+                    s, tol, cross_check_limit, (primary.first, primary.second),
                     case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
                     p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
                     predicted_value=predicted,
                 )
 
-        ids, fields = _search_case_b(s, tol, pairs, (r_aa, r_bb), q_cap)
+        ids, fields = _search_case_b(s, tol, pairs, q_cap)
         return _finish(s, tol, cross_check_limit, ids, **fields)
     except OverflowError as exc:  # a power of an entry or measure past the double range
         raise SearchExhaustedError("witness values overflow double precision") from exc
 
 
 def _component_ids(p: int, q: int, m: int, count: int) -> np.ndarray:
-    """The first ``count`` components as rows of factor ids: p prefix slots, then q blocks.
+    """The first ``count`` components as rows of atom ids: p prefix slots, then q blocks.
 
-    Factor id 0 is the first phase event, 1 the second, 2..m+1 the
+    Id 0 is the phase pair's first atom, 1 its second, 2..m+1 the
     negative-determinant atoms in subset order.  Prefix 0 with even blocks
     comes first, then prefix 1 with odd ones, the blocks in
     ``itertools.product`` order: row r has prefix r // (m!/2)**q, and block
@@ -609,11 +611,8 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
     """
     w = values[2 : 2 + m, 2 : 2 + m]
     ee_c, eo_c, oe_c, oo_c = _perm_block_sums(w, "ee", "eo", "oe", "oo")
-    paa = values[0, 0] ** p
-    pbb = values[1, 1] ** p
-    pab = values[0, 1] ** p
-    pba = values[1, 0] ** p
-    return paa * ee_c**q + pbb * oo_c**q + pab * eo_c**q + pba * oe_c**q
+    return (values[0, 0] ** p * ee_c**q + values[1, 1] ** p * oo_c**q
+            + values[0, 1] ** p * eo_c**q + values[1, 0] ** p * oe_c**q)
 
 
 def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> float:
@@ -672,7 +671,7 @@ def _finish(
 
     The components (distinct by the permutation tables' check) become an
     index array only for the literal double sum or the cross-check.  The
-    factors are the atoms ``ids``, so the factor values are atomic entries.
+    components' ids index the atoms ``ids``, so their values are atomic entries.
     The measure is the literal double sum up to ORACLE_PAIR_CAP components
     and the blockwise one of case (b) beyond; it must be real, match the
     predicted value and be negative.  The cross-check, run up to
@@ -693,11 +692,7 @@ def _finish(
         verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
     if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
-    w = Witness(
-        factors=tuple(s.atom(i) for i in ids),
-        verified_value=verified_c.real,
-        **fields,
-    )
+    w = Witness(atoms=ids, verified_value=verified_c.real, **fields)
     if abs(w.predicted_value - w.verified_value) > tol.slack(max(1.0, abs(w.predicted_value))):
         raise QmtError(
             f"predicted {w.predicted_value:.12e} and verified {w.verified_value:.12e} "
@@ -757,7 +752,7 @@ def tensor_closed_probe(
     padded = [embed_product(ProductRectangle(s1.atom(i), full2)) for i in range(s1.n)]
     rows = _indicators(padded, n)
     pmat = np.array([[_kron_form(blocks, x, y) for y in rows] for x in rows])
-    lo = float(np.linalg.eigvalsh(pmat)[0])
+    lo = _min_eigenvalue(pmat)
 
     i, j = entry2.index
     pa = embed_product(ProductRectangle(full1, s2.atom(i)))

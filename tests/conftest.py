@@ -263,13 +263,13 @@ def document(matrix, name="m"):
 # array versions in qmt.witness must match.
 
 
-def oracle_search_case_b(s, tol, pairs, primary_measures, q_cap):
+def oracle_search_case_b(s, tol, pairs, q_cap):
     best = None
     ratios = []
     subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
-    diagonals = [primary_measures] + [
-        (max(0.0, quantal_measure(s, pr.first, tol)), max(0.0, quantal_measure(s, pr.second, tol)))
-        for pr in pairs[1:PAIR_SEARCH_LIMIT]
+    diagonals = [
+        tuple(max(0.0, quantal_measure(s, s.atom(i), tol)) for i in (pr.first, pr.second))
+        for pr in pairs[:PAIR_SEARCH_LIMIT]
     ]
     terms = None
     for si, neg in enumerate(subsets):
@@ -306,7 +306,7 @@ def oracle_search_case_b(s, tol, pairs, primary_measures, q_cap):
                     continue
                 rank = (2 * half**q, p + m * q, si, pi, p)
                 if best is None or rank < best[0]:
-                    ids = (pair.first.indices()[0], pair.second.indices()[0]) + neg.atoms
+                    ids = (pair.first, pair.second) + neg.atoms
                     best = rank, ids, dict(
                         case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
                         p=p, q=q, k=p + m * q, x_p=x_p, y_p=y_p,

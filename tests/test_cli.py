@@ -26,6 +26,7 @@ from qmt.errors import (
 
 from conftest import (
     classical_outside_s,
+    document,
     negative_minor_past_the_cap,
     strong_with_a_negative_event,
     violator_past_the_sweep,
@@ -115,6 +116,15 @@ class TestClassifyCommand:
         code, _, _ = run(["classify", "--eps", "1e-4", str(slightly_off)], capsys)
         assert code == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_past_the_double_range_exits_3_without_a_warning(self, tmp_path, capsys):
+        # The Frobenius norm overflows to inf, which the constructor refuses;
+        # numpy's overflow warning must not be printed on the way.
+        path = tmp_path / "huge.json"
+        write_document(path, document([[1e200, 0.5j], [-0.5j, 1 - 1e200]]))
+        code, out, err = run(["classify", str(path)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: matrix entries and their norm must be finite\n"
 
     def test_repros_that_used_to_exit_1(self, tmp_path, capsys):
         for name, s in (("strong", strong_with_a_negative_event()), ("diag", classical_outside_s())):
@@ -271,9 +281,13 @@ class TestWitnessCommand:
         code, out, _ = run(["witness", "--json", doc_path("weak_only")], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["case"] == "b_iii"
         assert payload["verified_value"] < 0
-        assert payload["p"] == 2 and payload["q"] == 18
+        # The integer and label fields, pinned: atoms print as indices.
+        pair = payload["phase_pair"]
+        assert (payload["case"], pair["first"], pair["second"]) == ("b_iii", [0], [1])
+        assert payload["neg_det_atoms"] == [0, 1]
+        assert (payload["p"], payload["q"], payload["k"]) == (2, 18, 38)
+        assert payload["components"][0] == ["g1", "g1"] + ["g1", "g2"] * 18
 
     def test_component_lines(self, tmp_path, capsys):
         # Seed 46: the first phase atom g1 three times, then nine blocks of

@@ -19,6 +19,9 @@ from qmt.cli import main
 from qmt.documents import BUNDLED, bundled_document, write_document
 from qmt.gen import KINDS
 
+# A warning printed on the way, such as numpy's overflow in a norm, fails the run.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 EXIT_RANGE = range(7)
 # Values put where a number, a string or a list belongs.
 JUNK = ['"1"', "true", "false", "null", "NaN", "-Infinity", "1e999", "1" + "0" * 400,

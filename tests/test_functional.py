@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -93,14 +91,13 @@ class TestQuantumSystem:
         [[0.5, 1e200j], [1e200j, 0.5]],  # not Hermitian, by 2e200
         [[0.6e308, 0.5j], [-0.5j, 0.4e308]],  # entries sum to 1e308
     ], ids=["non-hermitian", "non-normalised"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_a_norm_past_the_double_range(self, matrix):
-        # The slack scales with the Frobenius norm, which overflows here;
-        # an infinite slack would let any matrix pass.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the norm's overflow
-            for check in (QuantumSystem, check_axioms):
-                with pytest.raises(AxiomViolationError, match="norm must be finite"):
-                    check(np.array(matrix))
+        # The slack scales with the Frobenius norm, which overflows here,
+        # without a warning; an infinite slack would let any matrix pass.
+        for check in (QuantumSystem, check_axioms):
+            with pytest.raises(AxiomViolationError, match="norm must be finite"):
+                check(np.array(matrix))
 
     @pytest.mark.parametrize("eps", [-1e-9, np.nan, np.inf])
     def test_tolerance_must_be_finite_and_non_negative(self, eps):

@@ -68,8 +68,8 @@ WEAK = "weak_not_strong_not_posentry"
 
 
 def component_atoms(w):
-    """The components' atom indices: every witness factor is a single atom."""
-    return np.array([f.indices()[0] for f in w.factors])[w.component_rows(w.component_count)]
+    """The components' atom indices."""
+    return np.array(w.atoms)[w.component_rows(w.component_count)]
 
 
 def random_hermitian(rng, m):
@@ -106,6 +106,12 @@ class TestPermSums:
             perm_sums(np.eye(1))
         with pytest.raises(ValueError):
             perm_sums(np.eye(7))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_non_square_input(self, shape):
+        for check in (perm_sums, det_identity_residual):
+            with pytest.raises(ValueError, match=r"matrix must be square, got shape"):
+                check(np.full(shape, 0.5))
 
     def test_sums_real_for_hermitian(self):
         rng = np.random.default_rng(41)
@@ -189,8 +195,8 @@ class TestCosSignPair:
 class TestFindPhasePair:
     def test_weak_only(self, weak_only_system):
         pair = find_phase_pair(weak_only_system)
-        assert pair.first == Event.from_indices([0], 2)
-        assert pair.second == Event.from_indices([1], 2)
+        assert (pair.first, pair.second) == (0, 1)
+        assert all(type(atom) is int for atom in pair[:2])
         assert pair.theta == pytest.approx(math.pi / 2)
         assert pair.modulus == pytest.approx(0.5)
 
@@ -207,7 +213,7 @@ class TestFindPhasePair:
         for seed in range(20):
             s = generate(GenSpec("weak_not_strong_not_posentry", 3, seed))
             pair = find_phase_pair(s)
-            assert pair.first.isdisjoint(pair.second)
+            assert pair.first != pair.second
             assert pair.modulus > 0 and pair.theta != 0
 
     @pytest.mark.parametrize("atoms", [2, 3])
@@ -294,6 +300,23 @@ class TestBuildWitness:
         assert w.cross_checked
         assert w.cross_check_value == pytest.approx(-0.02)
         assert component_atoms(w).tolist() == [[0, 0], [1, 1]]
+
+    @pytest.mark.parametrize("case, matrix, atom", [
+        ("a", [[0.0, 0.1j, 0.0], [-0.1j, 0.0, 0.0], [0.0, 0.0, 1.0]], 0),
+        ("a", [[0.0, 0.1j, 0.0], [-0.1j, 0.0, 0.0], [0.0, 0.0, 1.0]], 2),
+        ("b_iii", [[0.6, 0.5j], [-0.5j, 0.4]], 0),
+    ])
+    def test_imaginary_atom_measure_past_the_build_tolerance(self, case, matrix, atom):
+        # Built at a loose tolerance with Im M_ii = 1e-6, then witnessed at
+        # the default one: the atom measures are read from the diagonal,
+        # every entry of which must be real within the build's slack, also
+        # off the phase pair (atom 2 of the case-(a) system).
+        m = np.array(matrix, dtype=complex)
+        assert build_witness(QuantumSystem(m)).case == case
+        m[atom, atom] += 1e-6j
+        s = QuantumSystem(m, tol=Tolerance(1e-5, 1e-5))
+        with pytest.raises(AxiomViolationError, match=f"measure of atom {atom} has imaginary"):
+            build_witness(s)
 
     def test_case_b_ii_negative_even_sum(self):
         # all 2x2 principal minors non-negative, 3x3 determinant negative,
@@ -589,7 +612,7 @@ class TestBuildWitness:
         w = build_witness(s)
         assert w.case == case
         count = w.component_count
-        ids = _component_ids(w.p or w.k, w.q or 0, len(w.factors) - 2, count)
+        ids = _component_ids(w.p or w.k, w.q or 0, len(w.atoms) - 2, count)
         assert np.array_equal(w.component_rows(count), ids)
         assert w.component_rows(count).shape == (count, w.k)
         assert np.array_equal(w.component_rows(count + 1), ids)
@@ -603,7 +626,7 @@ class TestBuildWitness:
             plans = []
             for s in systems:
                 w = build_witness(s, cross_check_limit=0)
-                pair = (w.phase_pair.first.indices()[0], w.phase_pair.second.indices()[0])
+                pair = (w.phase_pair.first, w.phase_pair.second)
                 plans.append((w.case, pair, w.neg_det_atoms, w.p, w.q, w.k, w.component_count))
             return hashlib.sha256(repr(plans).encode()).hexdigest()
 
@@ -628,9 +651,8 @@ class TestArrayPaths:
     @staticmethod
     def search(search, s, q_cap, pairs=None):
         pairs = pairs or _pair_candidates(s, DEFAULT_TOL)
-        primary = tuple(max(0.0, quantal_measure(s, e)) for e in (pairs[0].first, pairs[0].second))
         try:
-            return search(s, DEFAULT_TOL, pairs, primary, q_cap)
+            return search(s, DEFAULT_TOL, pairs, q_cap)
         except QCapError as exc:
             return str(exc)
 
@@ -663,7 +685,7 @@ class TestArrayPaths:
                         if pairs and rng.random() < 0.5:
                             earlier = pairs[int(rng.integers(len(pairs)))]
                             theta, r = -earlier.theta, earlier.modulus
-                        pairs.append(PhasePair(s.atom(i), s.atom(j), theta, r))
+                        pairs.append(PhasePair(i, j, theta, r))
                     for q_cap in (8, 64):
                         got = self.search(_search_case_b, s, q_cap, pairs)
                         assert got == self.search(oracle_search_case_b, s, q_cap, pairs), (
@@ -687,8 +709,7 @@ class TestArrayPaths:
         twins = 0
         for atoms, seed in self.SYSTEMS:
             s = generate(GenSpec(WEAK, atoms, seed))
-            by_atoms = {(pr.first.indices()[0], pr.second.indices()[0]): pr
-                        for pr in _pair_candidates(s, DEFAULT_TOL)}
+            by_atoms = {pr[:2]: pr for pr in _pair_candidates(s, DEFAULT_TOL)}
             for (i, j), pair in by_atoms.items():
                 twin = by_atoms[j, i]
                 assert twin.theta == -pair.theta and twin.modulus == pair.modulus
@@ -707,8 +728,7 @@ class TestArrayPaths:
             w = build_witness(s, cross_check_limit=0)
             if w.component_count > ORACLE_PAIR_CAP:
                 continue
-            ids = [f.indices()[0] for f in w.factors]
-            values = s.matrix[np.ix_(ids, ids)]
+            values = s.matrix[np.ix_(w.atoms, w.atoms)]
             comps = w.component_rows(w.component_count)
             want = oracle_double_sum(values, comps)
             assert abs(_double_sum(values, comps) - want) <= 1e-14 * abs(want), (atoms, seed)
