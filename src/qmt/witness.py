@@ -21,7 +21,7 @@ the witness's atoms, and the first rows of any witness are one gather
 from the cached permutation tables by the digits of the row index: every
 row only for the literal double sum or the cross-check, 16 or 64 for
 ``qmt witness``, even the 3-atom seed-62 witness's 1,062,882; the literal
-double sum forms every component pair's slot product, one gather per slot.
+double sum builds each component pair's slot product over shared prefixes.
 """
 
 from __future__ import annotations
@@ -107,15 +107,20 @@ def polar(z: complex, eps: float = 0.0) -> PolarEntry:
 
 @functools.cache
 def _permutations_by_parity(m: int) -> np.ndarray:
-    """Even and odd permutations of range(m) (m >= 2), as a cached read-only (2, m!/2, m) table.
+    """``_parity_tables`` of all permutations of range(m) (m >= 2), cached."""
+    return _parity_tables(itertools.permutations(range(m)))
+
+
+def _parity_tables(perms) -> np.ndarray:
+    """Permutations of range(m) (m >= 2), by parity, as a read-only (2, m!/2, m) table.
 
     A case-(b) component is a parity prefix of p >= 1 slots, then q rows of
     that parity's table, so the components are pairwise distinct exactly
     when each table's rows are; that is checked here, once per m.
     """
     even, odd = [], []
-    for perm in itertools.permutations(range(m)):
-        inversions = sum(perm[i] > perm[j] for i in range(m) for j in range(i + 1, m))
+    for perm in perms:
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         (even if inversions % 2 == 0 else odd).append(perm)
     if len(set(even)) != len(even) or len(set(odd)) != len(odd):
         raise QmtError("witness components are not pairwise distinct")
@@ -325,24 +330,46 @@ class Witness:
 def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
     """Literal double sum over component pairs (a, b) of the slot products prod_j values[a_j, b_j].
 
-    For a block of rows a, the products of all pairs are formed in place:
-    one gather of the flattened value table per slot, over blocks of at
-    most DOUBLE_SUM_CELLS pairs.  The row sums are added in row order.  It
-    shares no code with ``_blockwise_value``, which takes over past
-    ORACLE_PAIR_CAP components.
+    Each pair's product is built left to right over the rows' shared
+    prefixes, the runs of rows with equal prefixes (so any row order is
+    valid): while rows share them, slot j's table has a cell per pair of
+    prefixes, its parents' cell times values[a_j, b_j]; after, a cell per
+    pair of rows, multiplied in place.  Rows go in blocks of at most
+    DOUBLE_SUM_CELLS pairs, and every gather takes rows of a column gather.
+    The multiplies and the row-order sums are a slot-by-slot product's, bit
+    for bit.  It shares no code with ``_blockwise_value``, which takes over
+    past ORACLE_PAIR_CAP components.
     """
     n, k = comps.shape
-    flat = values.ravel()
     slots = comps.T
-    left = slots * len(values)
-    step = max(1, DOUBLE_SUM_CELLS // n)
-    total = 0j
+    # Per slot until every row's prefix is its own: each row's prefix id, each prefix's first row.
+    prefixes, cut = [], slots[0, 1:] != slots[0, :-1]
+    for j in range(k):
+        if j:
+            cut |= slots[j, 1:] != slots[j, :-1]
+        if cut.all():
+            break
+        first = np.r_[True, cut]
+        prefixes.append((np.cumsum(first) - 1, np.flatnonzero(first)))
+
+    def factor(j, a, b):  # values[a_j, b_j] for the rows a and columns b
+        return values.take(slots[j, b], 1).take(slots[j, a], 0)
+
+    step, total = max(1, DOUBLE_SUM_CELLS // n), 0j
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        prod = flat[left[0, rows, None] + slots[0]]
-        for j in range(1, k):
-            prod *= flat[left[j, rows, None] + slots[j]]
-        total = sum(prod.sum(axis=1).tolist(), total)
+        rows, last = slice(lo, lo + step), min(lo + step, n) - 1
+        for j, (ids, heads) in enumerate(prefixes):
+            mine = heads[ids[lo] : ids[last] + 1]  # the block's prefixes, by first row
+            # Not in place: numpy multiplies one cell in place by a scalar loop, which can
+            # round otherwise than its vector loop; a block has one cell only if n = 1.
+            table = (table.take(up[heads], 1).take(up[mine] - up[lo], 0) * factor(j, mine, heads)
+                     if j else factor(0, mine, heads))
+            up = ids
+        block = (table.take(up, 1).take(up[rows] - up[lo], 0) if prefixes
+                 else values.take(slots[0], 1).take(slots[0, rows], 0))
+        for j in range(max(len(prefixes), 1), k):
+            block *= values.take(slots[j], 1).take(slots[j, rows], 0)
+        total = sum(block.sum(axis=1).tolist(), total)
     return total
 
 

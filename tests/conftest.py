@@ -22,6 +22,7 @@ from qmt import (
 )
 from qmt.errors import QCapError, QmtError
 from qmt.witness import (
+    DOUBLE_SUM_CELLS,
     PAIR_SEARCH_LIMIT,
     SUBSET_SEARCH_LIMIT,
     VALUE_FLOOR,
@@ -259,8 +260,8 @@ def document(matrix, name="m"):
 
 # ---------------------------------------------------------------------------
 # Witness oracles: the plan search as a scalar loop over subset x pair x p x q,
-# and the literal double sum as one gather per component row, which the
-# array versions in qmt.witness must match.
+# and the literal double sum as one gather per component row and as one
+# gather per slot, which the array versions in qmt.witness must match.
 
 
 def oracle_search_case_b(s, tol, pairs, q_cap):
@@ -327,4 +328,26 @@ def oracle_double_sum(values, comps):
     total = 0j
     for c in comps:
         total += complex(values[c[None, :], comps].prod(axis=1).sum())
+    return total
+
+
+def oracle_slot_double_sum(values, comps):
+    """The double sum slot by slot: every pair's product from scratch, one gather per slot.
+
+    Rows go in blocks of at most DOUBLE_SUM_CELLS pairs, each block's row
+    sums added in row order: the kernel that ``qmt.witness._double_sum``
+    must match bit for bit.
+    """
+    n, k = comps.shape
+    flat = values.ravel()
+    slots = comps.T
+    left = slots * len(values)
+    step = max(1, DOUBLE_SUM_CELLS // n)
+    total = 0j
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        prod = flat[left[0, rows, None] + slots[0]]
+        for j in range(1, k):
+            prod *= flat[left[j, rows, None] + slots[j]]
+        total = sum(prod.sum(axis=1).tolist(), total)
     return total

@@ -38,6 +38,7 @@ from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
     COMPONENT_LIST_CAP,
     CROSS_CHECK_LIMIT,
+    DOUBLE_SUM_CELLS,
     ORACLE_PAIR_CAP,
     SUBSET_SEARCH_LIMIT,
     VALUE_FLOOR,
@@ -61,6 +62,7 @@ from conftest import (
     negative_minor_past_the_cap,
     oracle_double_sum,
     oracle_search_case_b,
+    oracle_slot_double_sum,
     random_hermitian_system,
 )
 
@@ -436,20 +438,14 @@ class TestBuildWitness:
 
     def test_a_repeated_permutation_row_is_caught(self, monkeypatch):
         # The components are distinct exactly when each parity table's rows
-        # are; a table with a repeated row must stop the construction.
-        permutations = itertools.permutations
+        # are; a table with a repeated row must stop the construction.  Only
+        # the witness module's table source is replaced, and its cache is kept.
+        def repeating(m):
+            return witness._parity_tables([*itertools.permutations(range(m)), tuple(range(m))])
 
-        def repeating(seq):
-            return [*permutations(seq), tuple(seq)]  # the identity twice
-
-        monkeypatch.setattr(itertools, "permutations", repeating)
-        _permutations_by_parity.cache_clear()
-        try:
-            with pytest.raises(QmtError, match="not pairwise distinct"):
-                build_witness(generate(GenSpec(WEAK, 3, 0)))
-        finally:
-            monkeypatch.undo()
-            _permutations_by_parity.cache_clear()
+        monkeypatch.setattr(witness, "_permutations_by_parity", repeating)
+        with pytest.raises(QmtError, match="not pairwise distinct"):
+            build_witness(generate(GenSpec(WEAK, 3, 0)))
 
     def test_unread_components_are_not_built(self, monkeypatch):
         # Seed 46: 39366 components, past the literal sum and too large to
@@ -734,6 +730,98 @@ class TestArrayPaths:
             assert abs(_double_sum(values, comps) - want) <= 1e-14 * abs(want), (atoms, seed)
             checked += 1
         assert checked > 150
+
+    # 3- and 4-atom seeds whose witnesses have 162, 486 or 1,458 components:
+    # the largest literal double sums the generated systems reach.
+    MID_SIZE = [(3, 42), (3, 118), (3, 179), (3, 267),
+                (4, 136), (4, 156), (4, 196), (4, 330), (4, 345)]
+
+    @staticmethod
+    def hexed(z):
+        return z.real.hex(), z.imag.hex()
+
+    @staticmethod
+    def traced_peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def literal_inputs(atoms, seed):
+        """The value table and component rows of a seed's literal double sum, if it has one."""
+        s = generate(GenSpec(WEAK, atoms, seed))
+        w = build_witness(s, cross_check_limit=0)
+        if w.component_count > ORACLE_PAIR_CAP:
+            return None, None
+        return s.matrix[np.ix_(w.atoms, w.atoms)], w.component_rows(w.component_count)
+
+    def test_double_sum_matches_the_slot_kernel_bit_for_bit(self):
+        checked = 0
+        for atoms, seed in self.SYSTEMS[:200]:
+            values, comps = self.literal_inputs(atoms, seed)
+            if comps is None:
+                continue
+            want = self.hexed(oracle_slot_double_sum(values, comps))
+            assert self.hexed(_double_sum(values, comps)) == want, (atoms, seed)
+            checked += 1
+        assert checked > 150
+
+    @pytest.mark.parametrize("atoms, seed", MID_SIZE)
+    def test_mid_size_double_sum_matches_the_slot_kernel_bit_for_bit(self, atoms, seed):
+        # Their rows share long prefixes; in a random order the runs of
+        # equal prefixes are short, and the sum must not change either way.
+        values, comps = self.literal_inputs(atoms, seed)
+        assert len(comps) in (162, 486, 1458)
+        shuffled = comps[np.random.default_rng(seed).permutation(len(comps))]
+        for rows in (comps, shuffled):
+            want = self.hexed(oracle_slot_double_sum(values, rows))
+            assert self.hexed(_double_sum(values, rows)) == want
+
+    @pytest.mark.parametrize("n, k, size", [(1, 7, 3), (2, 60, 2), (2, 60, 5), (5, 1, 4),
+                                            (64, 60, 2), (64, 60, 8), (300, 33, 5),
+                                            (700, 9, 8), (2048, 8, 3)])
+    def test_double_sum_matches_the_slot_kernel_on_synthetic_tables(self, n, k, size):
+        # A random complex table, and rows with repeated prefixes: sorted, each
+        # copying a random prefix of the row before (also shuffled), and drawn
+        # from a third of the rows, so that some slots share one prefix among
+        # all rows and no slot may make every prefix distinct.
+        rng = np.random.default_rng([n, k, size])
+        values = rng.uniform(0.5, 1.5, (size, size)) * np.exp(
+            1j * rng.uniform(-math.pi, math.pi, (size, size)))
+        rows = (rng.random((n, k)) * rng.integers(1, size + 1, k)).astype(np.intp)
+        copied = rows.copy()
+        for r in range(1, n):
+            t = int(rng.integers(0, k + 1))
+            copied[r, :t] = copied[r - 1, :t]
+        repeated = rows[rng.integers(0, max(1, n // 3), n)]
+        for comps in (rows[np.lexsort(rows.T[::-1])], copied, copied[rng.permutation(n)],
+                      repeated):
+            want = self.hexed(oracle_slot_double_sum(values, comps))
+            assert self.hexed(_double_sum(values, comps)) == want
+
+    def test_double_sum_memory_stays_within_its_block_budget(self):
+        # Seed 118: 1,458 components of 21 slots.  Its last shared prefixes
+        # number 486, so a table over all their pairs would take 3.8 MB on
+        # top of a block's products and factors; the pairs of all rows, 34 MB.
+        # A block of at most DOUBLE_SUM_CELLS pairs is gathered from the block's
+        # prefixes only, so three blocks of cells bound the whole sum.
+        values, comps = self.literal_inputs(3, 118)
+        assert comps.shape == (1458, 21)
+        peak = self.traced_peak(lambda: _double_sum(values, comps))
+        assert peak < 3 * DOUBLE_SUM_CELLS * values.itemsize
+
+    def test_mid_size_build_peak_is_no_higher_than_the_slot_kernels(self, monkeypatch):
+        # Seed 42's build is the largest transient allocation of a benchmark
+        # pass over the acceptance systems; with the slot kernel it peaked at
+        # 5.37 MB on numpy 2.4.
+        s = generate(GenSpec(WEAK, 3, 42))
+        assert build_witness(s).component_count == 486
+        peak = self.traced_peak(lambda: build_witness(s))
+        monkeypatch.setattr(witness, "_double_sum", oracle_slot_double_sum)
+        assert peak <= self.traced_peak(lambda: build_witness(s))
 
     def test_large_component_tuple(self):
         w = build_witness(generate(GenSpec(WEAK, 3, 46)))
