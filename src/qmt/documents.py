@@ -14,12 +14,16 @@ canonical: fixed field order, UTF-8, floats rendered with 17 significant
 digits, so write -> read -> write is byte-identical.  Composed systems use
 the pair-index convention (i, j) -> i*n2 + j for their atom order.
 
-Both directions hold about one matrix row at a time.  The writer checks the
-doubles and formats each distinct one once (the 512-atom compose chain of
-the cli-docs benchmark holds 524,288 doubles and 33,994 distinct ones)
-before it writes, then fills each row from one template.  The reader decodes
-"matrix" row by row and converts the rows in batches with a few bulk checks;
-a document that fails one is parsed whole and walked cell by cell, for the message.
+The writer holds about one matrix row at a time: it checks the doubles and
+formats each distinct one once (the 512-atom compose chain of the cli-docs
+benchmark holds 524,288 doubles and 33,994 distinct ones) before it writes,
+then fills each row from one template.  The reader decodes "matrix" row by
+row and converts the rows in batches with a few bulk checks, so it holds
+about one batch of rows.  If the first batch's doubles repeat, as a composed
+system's do, the rest is read through a table that converts each distinct
+float spelling once and holds at most about two batches' numbers.  A
+document that fails a check is parsed whole and walked cell by cell, for the
+message.
 Negative zero is written as ``-0`` but parsed by ``json`` as +0, so a
 document holding one is not byte-stable.
 """
@@ -186,17 +190,40 @@ _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _BATCH_CELLS = 8192
 
 
+class _FloatTable(dict):
+    """Float token text -> float(text), each distinct spelling converted once."""
+
+    def __missing__(self, token: str) -> float:
+        self[token] = value = float(token)
+        return value
+
+
 def _decode_matrix(text: str, pos: int) -> tuple[np.ndarray | None, int]:
     """The "matrix" value at pos, decoded one row at a time and converted in
-    batches of about _BATCH_CELLS cells (None if a check fails), and its end."""
-    rows, batches, cells, sep = [], [], 0, _OPEN.match(text, pos)
+    batches of about _BATCH_CELLS cells (None if a check fails), and its end.
+    If fewer than half of the first batch's doubles are distinct, the rows
+    after it read floats through a table local to this call, until a batch
+    adds more spellings than half its numbers; at a batch's end the table is
+    emptied when it holds more spellings than the batch has numbers.  Ints
+    keep json's own path, so ``-0`` still reads as +0."""
+    decode, table, rows, batches, cells = _DECODER.raw_decode, None, [], [], 0
+    sep = _OPEN.match(text, pos)
     while sep:
-        row, pos = _DECODER.raw_decode(text, sep.end())
+        row, pos = decode(text, sep.end())
         rows.append(row)
         cells += len(row)
         if cells >= _BATCH_CELLS:
-            batches.append(_parse_matrix(rows, len(rows[0])))
-            rows, cells = [], 0
+            batches.append(batch := _parse_matrix(rows, len(rows[0])))
+            if table is not None and len(table) - known > cells:
+                table, decode = None, _DECODER.raw_decode
+            elif table is not None and len(table) > 2 * cells:
+                table.clear()
+            elif (len(batches) == 1 and batch is not None
+                  and np.unique(batch.view(float)).size < cells):
+                table = _FloatTable()
+                decode = json.JSONDecoder(parse_float=table.__getitem__,
+                                          parse_constant=_reject_constant).raw_decode
+            rows, cells, known = [], 0, len(table or ())
         sep = _COMMA.match(text, pos)
     batches += [_parse_matrix(rows, len(rows[0]))] if rows else []
     close = _CLOSE.match(text, pos)
@@ -256,8 +283,11 @@ def loads(text: str) -> SystemDocument:
 
 def write_document(path, doc: SystemDocument) -> None:
     chunks = _chunks(doc)  # a refused document leaves the path as it was
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:  # from the open, a write or the flush at close
+        raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 
 def read_document(path) -> SystemDocument:

@@ -11,6 +11,7 @@ enumerated, not drawn, so every run tries the same inputs.
 """
 
 import json
+import os
 from importlib import resources
 
 import pytest
@@ -174,3 +175,17 @@ def test_valid_documents_with_extreme_entries(tmp_path, capsys, scale):
             for command in (["classify"], ["verify"], ["probe"], ["witness"], ["witness", "--json"]):
                 assert_clean([*command, str(path), "--eps", eps], capsys)
             assert_clean(["compose", str(path), str(path), "-o", out, "--eps", eps], capsys)
+
+
+@pytest.mark.parametrize("output", ["missing-dir/x.json", ".", "/dev/full"])
+def test_unwritable_outputs(documents, tmp_path, capsys, output):
+    """An output that cannot be opened or written is one error line and exit 2."""
+    if output.startswith("/dev/") and not os.path.exists(output):
+        pytest.skip(f"{output} is not a device here")
+    out = output if output.startswith("/") else str(tmp_path / output)
+    path = documents["weak_only"]
+    for argv in (["compose", path, path, "-o", out],
+                 ["gen", "--kind", "strong", "--atoms", "2", "--seed", "3", "-o", out]):
+        code, err = outcome(argv, capsys)
+        assert (code, err.startswith(f"error: cannot write {out}: ")) == (2, True), err
+        assert err.count("\n") == 1 and "Traceback" not in err, err

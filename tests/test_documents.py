@@ -370,6 +370,56 @@ PARSING_CASES = [
 ]
 
 
+# Spellings of a few values; "-0" is an int, so it reads as +0, but "-0.0" keeps its sign.
+SPELLINGS = ("0.5", "5e-1", "0.50", "5E-1", "1", "1.0", "-0", "-0.0", "1e-400",
+             "18446744073709551623")
+
+
+def spelling(i, j, k):
+    """The spelling of cell (i, j)'s re (k = 0) or im (k = 1) part."""
+    return SPELLINGS[(i + 2 * j + k) % len(SPELLINGS)]
+
+
+def spellings_text():
+    """A 5-atom document whose every row holds each of SPELLINGS once, in a
+    rotated order."""
+    rows = [[[spelling(i, j, k) for k in (0, 1)] for j in range(5)] for i in range(5)]
+    texts = (", ".join('{"re": %s, "im": %s}' % tuple(cell) for cell in row) for row in rows)
+    matrix = "[\n" + ",\n".join(f"    [{row}]" for row in texts) + "\n  ]"
+    return '{"name": "spellings", "atoms": %s, "matrix": %s}' % (
+        json.dumps([f"a{i}" for i in range(5)]), matrix)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The float tables ``loads`` starts while the test runs."""
+    started = []
+
+    class Recorded(qmt.documents._FloatTable):
+        def __init__(self):
+            super().__init__()
+            self.misses = 0
+            started.append(self)
+
+        def __missing__(self, token):
+            self.misses += 1
+            return super().__missing__(token)
+
+    monkeypatch.setattr(qmt.documents, "_FloatTable", Recorded)
+    return started
+
+
+def traced_read(text):
+    """The matrix ``loads`` reads from text, and the traced peak of the read."""
+    tracemalloc.start()
+    try:
+        matrix = loads(text).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return matrix, peak
+
+
 class TestRowWalk:
     """The row-by-row reader against the whole-document parse it falls back to."""
 
@@ -386,6 +436,9 @@ class TestRowWalk:
         assert walked is None or (raw is not None) is walked
         return want
 
+    # With 5 or 10 cells a batch, row 2 comes after the first batch.  Row 0
+    # holds 6 distinct doubles of 10, so at 5 cells no float table starts;
+    # rows 0 and 1 hold 7 of 20, so at 10 cells the table decodes row 2.
     @pytest.mark.parametrize("batch_cells", [8192, 5, 10])
     @pytest.mark.parametrize("cell, message", [
         ('{"re": NaN, "im": 0}', "non-finite number NaN is not allowed"),
@@ -394,15 +447,48 @@ class TestRowWalk:
         ('{"re": 1' + "0" * 400 + ', "im": 0}', "matrix entry (2, 2) is not finite"),
         ('{"re": 18446744073709551623, "im": -9223372036854775809}', None),
     ])
-    def test_bad_and_big_numbers_in_row_three_of_five(self, monkeypatch, batch_cells, cell,
-                                                      message):
+    def test_bad_and_big_numbers_in_row_three_of_five(self, monkeypatch, tables, batch_cells,
+                                                      cell, message):
         monkeypatch.setattr(qmt.documents, "_BATCH_CELLS", batch_cells)
         text = five_atom_text(cell)
         want = self.same_as_whole(text, walked=message is None)
+        assert len(tables) == 2 * (batch_cells == 10)  # one for each of the two walks above
         if message is None:
             assert loads(text).matrix[2, 2] == complex(2**64 + 7, -(2**63) - 1)
         else:
             assert want == message
+
+    @pytest.mark.parametrize("batch_cells", [5, 10])
+    def test_repeated_spellings_before_and_after_the_first_batch(self, monkeypatch, tables,
+                                                                 batch_cells):
+        # The first batch is row 0 (5 cells) or rows 0 and 1 (10 cells); its
+        # doubles repeat, so the rows after it are decoded with the float table.
+        monkeypatch.setattr(qmt.documents, "_BATCH_CELLS", batch_cells)
+        text = spellings_text()
+        self.same_as_whole(text)
+        matrix = loads(text).matrix
+        assert len(tables) == 3
+        assert same_bits(matrix, oracle_matrix(text))
+        bits = np.ascontiguousarray(matrix).view(np.uint64).reshape(5, 5, 2)
+        for token, want in (("-0", 0), ("-0.0", 1 << 63)):
+            assert {bits[at] for at in np.ndindex(5, 5, 2) if spelling(*at) == token} == {want}
+
+    def test_the_float_table_goes_with_the_call(self, chain):
+        doc = chain[-2]
+        loads(dumps(doc))  # imports and caches settle before tracing starts
+        # Scaled by 1/3, so no earlier read in this process saw its spellings.
+        text = dumps(SystemDocument(doc.name, doc.atoms, doc.matrix / 3, doc.metadata))
+        tracemalloc.start()
+        try:
+            base, kept = tracemalloc.get_traced_memory()[0], []
+            for _ in range(3):
+                matrix = loads(text).matrix
+                kept.append(tracemalloc.get_traced_memory()[0] - base - matrix.nbytes)
+                del matrix
+        finally:
+            tracemalloc.stop()
+        # Its table would hold some 15,000 spellings, about 2 MB.
+        assert max(kept) < 128 * 1024 and max(kept) - min(kept) < 16 * 1024, kept
 
     def test_matrix_before_atoms(self):
         self.same_as_whole(five_atom_text(keys=("matrix", "metadata", "atoms", "name")))
@@ -458,12 +544,46 @@ class TestRowWalk:
 
     def test_traced_peak_of_the_512_atom_read_is_below_four_matrices(self, chain):
         doc = chain[-1]
-        text = dumps(doc)
-        tracemalloc.start()
-        try:
-            matrix = loads(text).matrix
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        matrix, peak = traced_read(dumps(doc))
         assert same_bits(matrix, doc.matrix)
+        assert peak < 4 * doc.matrix.nbytes, peak
+
+    def test_a_first_batch_of_distinct_numbers_starts_no_table(self, tables):
+        # Nearly every number of a generated system is distinct; a table would
+        # convert each once and keep them all, so the plain decoder reads on.
+        doc = document(generate(GenSpec("strong", 96, 1)).matrix)
+        assert same_bits(loads(dumps(doc)).matrix, doc.matrix)
+        assert tables == []
+
+    def test_traced_peak_of_a_generated_512_atom_read_is_below_four_matrices(self, tables):
+        doc = document(generate(GenSpec("hermitian_only", 512, 1)).matrix)
+        matrix, peak = traced_read(dumps(doc))
+        assert same_bits(matrix, doc.matrix)
+        assert peak < 4 * doc.matrix.nbytes, peak
+
+    def test_a_table_whose_batch_brings_mostly_new_numbers_is_dropped(self, tables):
+        # Rows 0-15, the first batch of 8,192 cells, repeat one number, so the
+        # table starts; the other rows' numbers are nearly all distinct, so
+        # only rows 16-31 are read through it.
+        matrix = generate(GenSpec("hermitian_only", 512, 1)).matrix.copy()
+        matrix[:16] = 0.25
+        doc = document(matrix)
+        read, peak = traced_read(dumps(doc))
+        assert same_bits(read, doc.matrix)
+        assert len(tables) == 1 and tables[0].misses <= 2 * qmt.documents._BATCH_CELLS
+        assert peak < 4 * doc.matrix.nbytes, peak
+
+    def test_the_table_is_emptied_once_it_outgrows_a_batch(self, tables):
+        # Each 16-row batch draws its numbers from its own 6,000 doubles, so
+        # the table pays on every batch and would grow by some 5,600 spellings
+        # a batch, about 25 MB in all, if it were never emptied.
+        rng = np.random.default_rng(1)
+        pools = [rng.standard_normal(6000) for _ in range(32)]
+        matrix = np.concatenate([rng.choice(p, (16, 512)) + 1j * rng.choice(p, (16, 512))
+                                 for p in pools])
+        doc = document(matrix)
+        read, peak = traced_read(dumps(doc))
+        assert same_bits(read, doc.matrix)
+        assert len(tables) == 1 and tables[0].misses > 16 * qmt.documents._BATCH_CELLS
+        assert len(tables[0]) <= 4 * qmt.documents._BATCH_CELLS
         assert peak < 4 * doc.matrix.nbytes, peak
