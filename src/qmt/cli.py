@@ -286,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="self-composition negative-measure witness")
     p.add_argument("path")
-    p.add_argument("--qmax", type=int, default=64, help="cap on the q exponent, >= 1 (default 64)")
+    p.add_argument("--qmax", type=int, default=64,
+                   help="cap on the q exponent, >= 1 (default 64); exponents the search "
+                        "never reads cost nothing")
     p.add_argument("--json", action="store_true")
     add_common(p)
 

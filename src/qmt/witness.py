@@ -13,19 +13,21 @@ event's composed atom indices, each term a product of entries of Kronecker
 blocks of at most 64 atoms, so neither the power nor the event's n**k
 indicator is formed.
 
-The work is done in arrays.  The exponent plan search is bounded: one
-array pass over the exponent rows of the phase pairs (twin pairs once)
-for each candidate subset whose least possible plan rank can still win,
-scanning q only until no larger q can; a component is a row of ids into
-the witness's atoms, and the first rows of any witness are one gather
-from the cached permutation tables by the digits of the row index: every
-row only for the literal double sum or the cross-check, 16 or 64 for
-``qmt witness``, even the 3-atom seed-62 witness's 1,062,882; the literal
-double sum builds each component pair's slot product over shared prefixes.
+The exponent plan search is a scalar branch and bound over the phase
+pairs' exponent rows, generated lazily in increasing p and read only while
+a row can still win and clear the double-range floor, so a large q cap
+costs only the rows read; q comes from an exact scalar loop.  A component
+is a row of ids into the witness's atoms, and the first rows of any
+witness are one gather from the cached permutation tables by the digits
+of the row index: every row only for the literal double sum or the
+cross-check, 16 or 64 for ``qmt witness``, even the 3-atom seed-62
+witness's 1,062,882; the literal double sum builds each component pair's
+slot product over shared prefixes.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
@@ -75,9 +77,6 @@ DOUBLE_SUM_CELLS = 1 << 17
 # not as n**k.
 CROSS_CHECK_LIMIT = 1 << 20
 KRON_BLOCK_ATOMS = 64
-# A row of the plan search's exponent table: pair index, p, x_p, y_p, cos(p*theta).
-EXPONENT_ROW = np.dtype([("pi", np.int64), ("p", np.int64), ("x", float), ("y", float),
-                         ("cos", float)])
 
 
 @dataclass(frozen=True)
@@ -373,24 +372,30 @@ def _double_sum(values: np.ndarray, comps: np.ndarray) -> complex:
     return total
 
 
-def _exponent_terms(pair: PhasePair, raa: float, rbb: float, q_cap: int) -> tuple[list, list]:
-    """(p, x_p, y_p, cos(p*theta)) rows of a pair, for a non-negative and a negative cosine.
+def _exponent_rows(pair: PhasePair, raa: float, rbb: float, q_cap: int, negative: bool):
+    """Yield a pair's (p, x_p, y_p, cos(p*theta)) rows in increasing p, each only when read.
 
-    The first list holds the recipe's one non-negative exponent; the second
-    every p <= q_cap with a negative cosine, plus the recipe's own, which
-    can be huge for tiny phases.  The cosines are taken at |theta|, so a
-    pair's twin (j, i), of opposite phase, gets the same rows bit for bit.
+    x_p = raa**p + rbb**p and y_p = 2 |M_ab|**p, for the atom measures raa
+    and rbb.  The negative rows are every p <= q_cap with a negative
+    cosine, then the recipe's own when it lies past q_cap, which can be
+    huge for tiny phases; the other kind is the recipe's one non-negative
+    exponent.  The cosines are taken at |theta|, so a pair's twin (j, i),
+    of opposite phase, gets the same rows bit for bit.  A row past the
+    double range raises OverflowError.
     """
     theta = abs(pair.theta)
     n_neg, p_nonneg = cos_sign_pair(theta)
-    negative = [(p, c) for p in range(1, q_cap + 1) if (c := math.cos(p * theta)) < 0.0]
-    if n_neg not in [p for p, _ in negative]:
-        negative.append((n_neg, math.cos(n_neg * theta)))
-
-    def row(p, cos_p):
-        return p, raa**p + rbb**p, 2.0 * pair.modulus**p, cos_p
-
-    return [row(p_nonneg, math.cos(p_nonneg * theta))], [row(*pc) for pc in negative]
+    if negative:
+        exponents = itertools.chain(range(1, q_cap + 1), [n_neg] if n_neg > q_cap else [])
+    else:
+        exponents = [p_nonneg]
+    for p in exponents:
+        cos_p = math.cos(p * theta)
+        if (cos_p < 0.0) == negative:
+            x, y = raa**p + rbb**p, 2.0 * pair.modulus**p
+            if math.isinf(x) or math.isinf(y):
+                raise OverflowError(f"exponent row p={p} is past the double range")
+            yield p, x, y, cos_p
 
 
 def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
@@ -406,48 +411,6 @@ def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
         )
     out.sort(key=lambda pr: (-abs(pr.theta), pr.first, pr.second))
     return out
-
-
-def _first_q(x: np.ndarray, yc: np.ndarray, p: np.ndarray, sums: PermSums,
-             target: np.ndarray, q_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, the least q <= q_cap with x * ratio**q <= target (ratio = ee/eo), and its value.
-
-    q is 0 where there is none.  Columns come in doubling chunks, each the
-    one before times ratio by ``np.multiply``, which rounds as a loop
-    ``xq *= ratio`` does, so q is exact.  The scan stops when no live row
-    can win: for m!/2 > 1 after a chunk with a feasible hit (value below
-    -VALUE_FLOOR), as a larger q has more components; for m = 2 a row
-    leaves once its least k, p + 2 (done + 1), exceeds the least feasible k
-    so far (equal k is decided on pair and p).
-    """
-    ee, eo, m = sums.ee, sums.eo, sums.order
-    ratio = ee / eo
-    q, predicted = np.zeros(len(x), dtype=np.int64), np.zeros(len(x))
-    live, col = np.arange(len(x)), x * ratio
-    ee_q, eo_q = [1.0], [1.0]
-    done, width, best_k = 0, 1, math.inf
-    while live.size and done < q_cap:
-        table = np.empty((min(width, q_cap - done), live.size))
-        table[0] = col
-        for i in range(1, len(table)):
-            np.multiply(table[i - 1], ratio, out=table[i])
-        done, width = done + len(table), 2 * width
-        hit = ~(table > target[live])
-        found = hit.any(axis=0)
-        rows = live[found]
-        q[rows] = qr = done + 1 - len(table) + hit[:, found].argmax(axis=0)
-        ee_q += [ee**j for j in range(len(ee_q), done + 1)]
-        eo_q += [eo**j for j in range(len(eo_q), done + 1)]
-        predicted[rows] = x[rows] * np.array(ee_q)[qr] + yc[rows] * np.array(eo_q)[qr]
-        feasible = predicted[rows] < -VALUE_FLOOR
-        if feasible.any():
-            if m > 2:
-                break
-            best_k = min(best_k, int((p[rows] + m * qr)[feasible].min()))
-        live, col = live[~found], table[-1, ~found] * ratio
-        keep = p[live] + m * (done + 1) <= best_k
-        live, col = live[keep], col[keep]
-    return q, predicted
 
 
 def _search_case_b(
@@ -466,25 +429,41 @@ def _search_case_b(
     smallest power k: any feasible plan proves the point, so the cheapest
     one to verify is preferred.
 
-    The search is bounded and returns the plan the full search would, by
-    the exact-integer rank (components, k, subset, pair, p).  The exponent
-    rows of the pairs form one table, built once, without pairs whose rows
-    equal an earlier pair's (a twin (j, i) of the same |theta|, modulus and
-    atom measures), since those lose every tie.  Every subset's permutation
-    sums are taken and checked, but a subset of size m whose least rank
-    (2 (m!/2), m + 1, subset) is not below the best so far gets no array
-    pass over the table.  A pass scans q by ``_first_q`` and picks the
-    subset's winner by ``np.lexsort``.  The atom measures are the clamped
-    real diagonal, max(0, Re M_ii); ``build_witness`` has checked Im M_ii.
-    Returns the winner's atom ids (phase pair, then subset) and its
-    ``Witness`` fields.
+    The search is a branch and bound that returns the plan the full search
+    would, by the exact-integer rank (components, k, subset, pair, p).  A
+    pair whose rows equal an earlier pair's (a twin (j, i) of the same
+    |theta|, modulus and atom measures) is left out: it loses every tie.
+    Every subset's permutation sums are taken and checked, but a subset of
+    size m whose least rank (2 (m!/2), m + 1, subset) is not below the best
+    so far reads no rows.  Each pair's rows come from ``_exponent_rows`` in
+    increasing p.  In the mixed subcase q is the least q <= q_cap with
+    x_p (ee/eo)**q at most the target, one scalar multiply a step as in the
+    loop ``xq *= ee / eo``, so q is exact.  Three cut-offs end the reading,
+    and none drops a row the full search could pick:
+
+    - a pair stops at its first row whose least rank, (2 (m!/2), p + m,
+      subset, pair, p), is not below the best, as no later row's is; a
+      row's q loop stops once its rank at the next q is not below it;
+    - while every base (atom measures, modulus, |ee|, |eo|) is at most 1, a
+      pair stops once (x_p + y_p) max(|ee|, |eo|), a bound on the value of
+      every later row at any q, is below VALUE_FLOOR / 4 (4 for rounding);
+    - while eo <= 1, a row's q loop stops once (x_p + y_p) eo**q, a bound
+      on its value at that q and beyond, is below VALUE_FLOOR / 4.
+
+    A row whose predicted value is not finite raises OverflowError.  The
+    atom measures are the clamped real diagonal, max(0, Re M_ii);
+    ``build_witness`` has checked Im M_ii.  Returns the winner's atom ids
+    (phase pair, then subset) and its ``Witness`` fields.
     """
     best = None
     ratios = []
     subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
-    searched = pairs[:PAIR_SEARCH_LIMIT]
     measures = [max(0.0, r) for r in s.matrix.diagonal().real.tolist()]
-    tables = None
+    searched = {}  # (pair index, pair, atom measures) of the first pair with each set of rows
+    for pi, pr in enumerate(pairs[:PAIR_SEARCH_LIMIT]):
+        r = (measures[pr.first], measures[pr.second])
+        searched.setdefault((abs(pr.theta), pr.modulus, min(r), max(r)), (pi, pr, r))
+    floor = VALUE_FLOOR / 4
     for si, neg in enumerate(subsets):
         sums = perm_sums(neg.submatrix, tol)
         ee, eo = sums.ee, sums.eo
@@ -499,39 +478,37 @@ def _search_case_b(
             ratios.append(ee / eo)
         if best is not None and (2 * half, m + 1, si) >= best[0]:
             continue
-        if tables is None:  # once, after the first subset's checks
-            terms = {}
-            for pi, pr in enumerate(searched):
-                r = (measures[pr.first], measures[pr.second])
-                key = (abs(pr.theta), pr.modulus, min(r), max(r))
-                if key not in terms:
-                    terms[key] = pi, _exponent_terms(pr, *r, q_cap)
-            tables = [np.array([(pi, *row) for pi, t in terms.values() for row in t[sign]],
-                               dtype=EXPONENT_ROW) for sign in (0, 1)]
         case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
-        rows = tables[case != "b_i"]
-        x, yc = rows["x"], rows["y"] * rows["cos"]
-        if case == "b_iii":
-            target = 0.5 * rows["y"] * np.abs(rows["cos"])
-            q, predicted = _first_q(x, yc, rows["p"], sums, target, q_cap)
-        else:
-            q, predicted = np.ones(len(rows), dtype=np.int64), x * ee + yc * eo
-        ok = np.flatnonzero((q > 0) & (predicted < -VALUE_FLOOR))
-        if not ok.size:
-            continue
-        k = rows["p"] + m * q
-        keys = [rows["p"][ok], rows["pi"][ok], k[ok]] + ([q[ok]] if half > 1 else [])
-        w = ok[np.lexsort(keys)[0]]
-        qw, kw, pi, p = (int(col[w]) for col in (q, k, rows["pi"], rows["p"]))
-        rank = (2 * half**qw, kw, si, pi, p)
-        if best is None or rank < best[0]:
-            pair = searched[pi]
-            ids = (pair.first, pair.second) + neg.atoms
-            best = rank, ids, dict(
-                case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
-                p=p, q=qw, k=kw, x_p=float(x[w]), y_p=float(rows["y"][w]),
-                component_count=2 * half**qw, predicted_value=float(predicted[w]),
-            )
+        big = max(abs(ee), abs(eo))
+        ratio = ee / eo if case == "b_iii" else None
+        for pi, pair, r in searched.values():
+            small = max(big, pair.modulus, *r) <= 1.0
+            for p, x, y, cos_p in _exponent_rows(pair, *r, q_cap, case != "b_i"):
+                if (best is not None and (2 * half, p + m, si, pi, p) >= best[0]
+                        or small and (x + y) * big < floor):
+                    break
+                q, count = 1, 2 * half
+                if ratio is not None:
+                    target, xq, bound = 0.5 * y * abs(cos_p), x * ratio, (x + y) * eo
+                    while xq > target:  # no q yet: go on to q + 1 while it can still win
+                        q, count, bound = q + 1, count * half, bound * eo
+                        if (q > q_cap or eo <= 1.0 and bound < floor
+                                or best is not None and (count, p + m * q, si, pi, p) >= best[0]):
+                            break
+                        xq *= ratio
+                    if xq > target:
+                        continue
+                predicted = x * ee**q + y * cos_p * eo**q
+                if not math.isfinite(predicted):
+                    raise OverflowError(f"predicted value {predicted} of p={p}, q={q}")
+                if not predicted < -VALUE_FLOOR:
+                    continue
+                # The cut-offs above let through only a rank below the best.
+                best = (count, p + m * q, si, pi, p), (pair.first, pair.second) + neg.atoms, dict(
+                    case=case, phase_pair=pair, neg_det_atoms=neg.atoms, ee=ee, eo=eo,
+                    p=p, q=q, k=p + m * q, x_p=x, y_p=y,
+                    component_count=count, predicted_value=predicted,
+                )
     if best is None:
         worst = max(ratios) if ratios else float("nan")
         max_theta = max(abs(pr.theta) for pr in pairs)
@@ -700,8 +677,9 @@ def _finish(
     index array only for the literal double sum or the cross-check.  The
     components' ids index the atoms ``ids``, so their values are atomic entries.
     The measure is the literal double sum up to ORACLE_PAIR_CAP components
-    and the blockwise one of case (b) beyond; it must be real, match the
-    predicted value and be negative.  The cross-check, run up to
+    and the blockwise one of case (b) beyond; it must be finite (else
+    OverflowError), real, match the predicted value and be negative.  The
+    cross-check, run up to
     COMPONENT_LIST_CAP components when s.n**k fits the limit, evaluates the
     embedded event against the operator, not the component factorisation,
     so it stays independent of the double sum that produced the verified
@@ -713,10 +691,13 @@ def _finish(
     if literal or cross:
         comps = _component_ids(fields["p"] or k, fields["q"] or 0, len(ids) - 2, count)
     values = s.matrix[np.ix_(ids, ids)]
-    if literal:
-        verified_c = _double_sum(values, comps)
-    else:
-        verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value past the double range is refused
+        if literal:
+            verified_c = _double_sum(values, comps)
+        else:
+            verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
+    if not cmath.isfinite(verified_c):
+        raise OverflowError(f"verified value {verified_c}")
     if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
     w = Witness(atoms=ids, verified_value=verified_c.real, **fields)

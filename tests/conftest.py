@@ -26,7 +26,7 @@ from qmt.witness import (
     PAIR_SEARCH_LIMIT,
     SUBSET_SEARCH_LIMIT,
     VALUE_FLOOR,
-    _exponent_terms,
+    _exponent_rows,
     _neg_det_candidates,
 )
 
@@ -259,9 +259,10 @@ def document(matrix, name="m"):
 
 
 # ---------------------------------------------------------------------------
-# Witness oracles: the plan search as a scalar loop over subset x pair x p x q,
-# and the literal double sum as one gather per component row and as one
-# gather per slot, which the array versions in qmt.witness must match.
+# Witness oracles: the plan search as a scalar loop over subset x pair x p x q
+# that evaluates every row of every pair, and the literal double sum as one
+# gather per component row and as one gather per slot, which the bounded
+# search and the array double sum in qmt.witness must match.
 
 
 def oracle_search_case_b(s, tol, pairs, q_cap):
@@ -286,7 +287,8 @@ def oracle_search_case_b(s, tol, pairs, q_cap):
         if eo > 0.0:
             ratios.append(ee / eo)
         if terms is None:
-            terms = [_exponent_terms(pr, *d, q_cap) for pr, d in zip(pairs, diagonals)]
+            terms = [[list(_exponent_rows(pr, *d, q_cap, sign)) for sign in (False, True)]
+                     for pr, d in zip(pairs, diagonals)]
         case = "b_i" if eo <= 0.0 else "b_ii" if ee <= 0.0 else "b_iii"
         for pi, (pair, (nonneg, negative)) in enumerate(zip(pairs, terms)):
             for p, x_p, y_p, cos_p in nonneg if case == "b_i" else negative:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from qmt import (
 )
 from qmt import witness
 from qmt.compose import _kron_form
+from qmt.documents import bundled_document
 from qmt.errors import (
     AxiomViolationError,
     PreconditionError,
@@ -38,6 +40,7 @@ from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
     COMPONENT_LIST_CAP,
     CROSS_CHECK_LIMIT,
+    DEFAULT_Q_CAP,
     DOUBLE_SUM_CELLS,
     ORACLE_PAIR_CAP,
     SUBSET_SEARCH_LIMIT,
@@ -46,7 +49,7 @@ from qmt.witness import (
     PhasePair,
     _component_ids,
     _double_sum,
-    _exponent_terms,
+    _exponent_rows,
     _kronecker_value,
     _neg_det_candidates,
     _pair_candidates,
@@ -414,11 +417,83 @@ class TestBuildWitness:
 
     def test_values_past_the_double_range(self):
         # With no slack the 1e20 entries are a phase pair with diagonals
-        # 0.5, and case (b)'s exponent rows take 1e20**p past 1e308.
+        # 0.5.  The search reads rows only until p = 2 wins, so no row
+        # takes 1e20**p past 1e308 and numpy warns of no overflow.
         exact = Tolerance(0.0, 0.0)
         s = QuantumSystem([[0.5, 1e20j], [-1e20j, 0.5]], tol=exact)
-        with pytest.raises(SearchExhaustedError, match="overflow double precision"):
-            build_witness(s, exact)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = build_witness(s, exact, cross_check_limit=0)
+        assert (w.case, w.p, w.q, w.k, w.component_count) == ("b_iii", 2, 1, 4, 2)
+        assert w.predicted_value == pytest.approx(-2e80, rel=1e-15)
+
+    @pytest.mark.parametrize("q_cap", [1, 3, 64])
+    def test_values_that_overflow_are_refused(self, q_cap):
+        # The 1e100 entries' first negative-cosine row, p = 2, predicts
+        # 0.125 - 2e200 * 1e200, which is -inf in doubles, at any cap.
+        exact = Tolerance(0.0, 0.0)
+        s = QuantumSystem([[0.5, 1e100j], [-1e100j, 0.5]], tol=exact)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SearchExhaustedError, match="overflow double precision"):
+                build_witness(s, exact, q_cap=q_cap, cross_check_limit=0)
+            with pytest.raises(OverflowError, match="predicted value -inf of p=2, q=1"):
+                _search_case_b(s, exact, _pair_candidates(s, exact), q_cap)
+
+    def test_a_verified_value_that_overflows_is_refused(self, monkeypatch):
+        # A plan that predicts a finite value, but whose component products
+        # (four entries of 1e100) overflow in the verifying double sum.
+        exact = Tolerance(0.0, 0.0)
+        s = QuantumSystem([[0.5, 1e100j], [-1e100j, 0.5]], tol=exact)
+        plan = dict(case="b_iii", phase_pair=_pair_candidates(s, exact)[0], neg_det_atoms=(0, 1),
+                    ee=0.25, eo=1e200, p=2, q=1, k=4, x_p=0.5, y_p=2e200, component_count=2,
+                    predicted_value=-1.0)
+        monkeypatch.setattr(witness, "_search_case_b", lambda *args: ((0, 1, 0, 1), plan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SearchExhaustedError, match="overflow double precision"):
+                build_witness(s, exact, cross_check_limit=0)
+
+    @staticmethod
+    def traced(run):
+        """run()'s result, or the QmtError it raised, and the peak of traced memory."""
+        tracemalloc.start()
+        try:
+            try:
+                out = run()
+            except QmtError as exc:
+                out = exc
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_large_q_cap_costs_only_the_rows_read(self):
+        # Eagerly built, the exponent rows of q_cap = 10**6 took 237 MB; the
+        # search reads only the rows that can still win.
+        s = bundled_document("weak_only").to_system()
+        for q_cap in (DEFAULT_Q_CAP, 10**6):
+            w, peak = self.traced(lambda: build_witness(s, q_cap=q_cap))
+            assert (w.p, w.q, w.k) == (2, 18, 38)
+            assert peak < 2**20, q_cap
+
+    @pytest.mark.parametrize("t, ratio, theta", [
+        (0.6672677963781503, "0.999144602", "4.140e-01"),
+        (0.6681562649172753, "0.999991445", "4.130e-01"),
+    ])
+    def test_a_large_q_cap_leaves_no_witness_near_the_boundary_cheaply(self, t, ratio, theta):
+        # The 2-atom seed-0 system blended toward the uniform J/4, to
+        # lambda_min = -1e-4 and -1e-6: each plan's value falls below
+        # VALUE_FLOOR before its q is reached, so no cap gives a witness.
+        # The floor cut-offs end the search whatever the cap.
+        d = generate(GenSpec(WEAK, 2, 0)).matrix
+        s = QuantumSystem((1 - t) * d + t * np.full((2, 2), 0.25))
+        exc, peak = self.traced(lambda: build_witness(s, q_cap=10**6))
+        assert isinstance(exc, QCapError)
+        assert str(exc) == (
+            f"no witness within q <= 1000000: even-even/even-odd ratio up to {ratio} and "
+            f"phase magnitude at most {theta} leave no feasible exponents; raise --qmax"
+        )
+        assert peak < 2**20
 
     def test_shallow_case_a_falls_through_to_case_b(self):
         # Zero diagonals select case (a), but at theta = 1e-3 its value
@@ -638,7 +713,7 @@ class TestBuildWitness:
 
 
 class TestArrayPaths:
-    """The array plan search and double sum against their scalar-loop oracles."""
+    """The bounded plan search and the array double sum against their scalar-loop oracles."""
 
     SYSTEMS = [(a, i) for i in range(100) for a in (2, 3)] + [
         (a, i) for a in (4, 5, 6) for i in range(10)
@@ -687,11 +762,33 @@ class TestArrayPaths:
                         assert got == self.search(oracle_search_case_b, s, q_cap, pairs), (
                             atoms, seed, q_cap)
 
+    # The 2- and 3-atom systems of these seeds blended toward the uniform
+    # J/n**2 with weight t, to lambda_min near -1e-3: their best plans' values,
+    # where there is a plan, lie within 50 decades of VALUE_FLOOR, so the
+    # floor cut-offs decide which rows are read.
+    NEAR_THE_FLOOR = [(2, 0, 0.6568025546430967), (2, 0, 0.657654429464178),
+                      (2, 1, 0.9940166595597448), (2, 1, 0.9948129469176195),
+                      (3, 0, 0.9886146771953923), (3, 0, 0.9905113673639416),
+                      (3, 5, 0.9637184475418534), (3, 5, 0.975801293334432)]
+
+    @pytest.mark.parametrize("atoms, seed, t", NEAR_THE_FLOOR)
+    def test_plan_search_matches_the_loop_near_the_value_floor(self, atoms, seed, t):
+        d = generate(GenSpec(WEAK, atoms, seed)).matrix
+        s = QuantumSystem((1 - t) * d + t * np.full((atoms, atoms), 1.0 / atoms**2))
+        for q_cap in (64, 500):
+            got = self.search(_search_case_b, s, q_cap)
+            assert got == self.search(oracle_search_case_b, s, q_cap), q_cap
+            assert isinstance(got, str) or abs(got[1]["predicted_value"]) < 1e-230
+
     def test_twin_pairs_have_equal_exponent_rows(self):
         # A pair (i, j) and its twin (j, i) have phases of opposite sign and
-        # swapped atom measures; their rows, taken at |theta|, must agree bit
-        # for bit with each other and with the signed-theta formula.
-        def hexed(terms):
+        # swapped atom measures; their generated rows, taken at |theta|, must
+        # agree bit for bit with each other and with the signed-theta formula.
+        def hexed(pair, raa, rbb, q_cap):
+            return [[[float(v).hex() for v in row] for row in _exponent_rows(pair, raa, rbb, q_cap, sign)]
+                    for sign in (False, True)]
+
+        def hexed_rows(terms):
             return [[[float(v).hex() for v in row] for row in rows] for rows in terms]
 
         def signed_rows(pair, raa, rbb, q_cap):
@@ -711,9 +808,9 @@ class TestArrayPaths:
                 assert twin.theta == -pair.theta and twin.modulus == pair.modulus
                 raa, rbb = (max(0.0, quantal_measure(s, s.atom(a))) for a in (i, j))
                 for q_cap in (8, 64, 200):
-                    rows = hexed(_exponent_terms(pair, raa, rbb, q_cap))
-                    assert rows == hexed(_exponent_terms(twin, rbb, raa, q_cap)), (atoms, seed)
-                    assert rows == hexed(signed_rows(pair, raa, rbb, q_cap)), (atoms, seed)
+                    rows = hexed(pair, raa, rbb, q_cap)
+                    assert rows == hexed(twin, rbb, raa, q_cap), (atoms, seed)
+                    assert rows == hexed_rows(signed_rows(pair, raa, rbb, q_cap)), (atoms, seed)
                 twins += 1
         assert twins > 460
 
