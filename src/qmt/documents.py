@@ -33,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -282,11 +283,25 @@ def loads(text: str) -> SystemDocument:
 
 
 def write_document(path, doc: SystemDocument) -> None:
+    """Write ``doc`` to a new file beside ``path`` (symlinks resolved), renamed over it when whole,
+    so a failed write keeps an existing file; in place where no file can be made beside it or
+    the path holds no writable regular file (a device, a FIFO, a read-only file)."""
     chunks = _chunks(doc)  # a refused document leaves the path as it was
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    regular = not os.path.exists(target) or os.path.isfile(target) and os.access(target, os.W_OK)
+    try:  # "x" makes the file with the umask's permissions
+        fh = open(tmp, "x", encoding="utf-8") if regular else None
+    except OSError:  # no file can be made beside the target
+        fh = None
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-    except OSError as exc:  # from the open, a write or the flush at close
+        with fh or open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+        if fh is not None:
+            os.replace(tmp, target)
+    except OSError as exc:  # from an open, a write, the flush at close or the rename
+        if fh is not None:
+            os.remove(tmp)
         raise DocumentError(f"cannot write {path}: {exc}") from exc
 
 

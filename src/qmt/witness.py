@@ -31,7 +31,7 @@ import cmath
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -60,9 +60,10 @@ PERM_ORDER_MAX = 6
 DEFAULT_Q_CAP = 64
 # Constructed values below this magnitude cannot be verified in doubles.
 VALUE_FLOOR = 1e-280
-# Bounds on the case-b plan search.
+# Bounds on the case-b plan search, and the subsets whose determinants it takes at once.
 SUBSET_SEARCH_LIMIT = 24
 PAIR_SEARCH_LIMIT = 24
+SUBSET_CHUNK = 2048
 # Literal double-sum verification up to this many components; beyond it the
 # same double sum is evaluated blockwise (grouped by shared prefixes and
 # permutation blocks), which is algebraically identical.
@@ -227,7 +228,7 @@ def find_phase_pair(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> PhasePair
     order): phases near zero force huge exponents downstream.  Raises
     SearchExhaustedError when no off-diagonal entry has a phase.
     """
-    return _pair_candidates(s, tol)[0]
+    return _pair_candidates(s, tol.scaled(s.matrix))[0]
 
 
 class NegDetSubset(NamedTuple):
@@ -236,33 +237,41 @@ class NegDetSubset(NamedTuple):
     det: float
 
 
-def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
-    """Yield negative-determinant principal subsets, smallest size first.
+def _colex(n: int, size: int):
+    """The size-atom subsets of range(n), as ascending tuples, in ascending bitmask order,
+    lazily: for each top atom in turn, those of range(top) with top appended."""
+    return ((top,) for top in range(n)) if size == 1 else (
+        c + (top,) for top in range(size - 1, n) for c in _colex(top, size - 1))
 
-    Within each size, subsets come in ascending bitmask order.  Small
-    subsets keep the permutation sums and component counts downstream
-    small, so they are preferred, but later candidates matter when the
-    first subset's permutation sums leave no feasible exponent.  Raises
-    SearchExhaustedError when there is none; its message says whether the
-    system is PSD within tolerance or its negative minors, if any, have
-    more than PERM_ORDER_MAX atoms.
+
+def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
+    """Yield negative-determinant principal subsets, smallest size first, then by bitmask.
+
+    Each size's subsets come from ``_colex`` in chunks of SUBSET_CHUNK, each
+    one gather and one stacked ``np.linalg.det`` (per-matrix bit for bit);
+    no chunk past the limit-th candidate is made.  Since slack >= 0, a
+    submatrix's slack is taken only where det < 0.  Small subsets keep the
+    permutation sums and component counts small, but later candidates matter
+    when the first's sums leave no feasible exponent.  SearchExhaustedError
+    when there is none says whether the system is PSD within tolerance or
+    its negative minors, if any, have more than PERM_ORDER_MAX atoms.
     """
-    n = s.n
-    m = s.matrix
+    n, m = s.n, s.matrix
     found = 0
     for size in range(2, min(n, PERM_ORDER_MAX) + 1):
-        combos = itertools.combinations(range(n), size)
-        for combo in sorted(combos, key=lambda c: sum(1 << i for i in c)):
-            idx = np.array(combo, dtype=np.intp)
-            sub = m[np.ix_(idx, idx)]
-            det = complex(np.linalg.det(sub)).real
-            if det < -tol.scaled(sub):
-                sub = sub.copy()
-                sub.flags.writeable = False
-                yield NegDetSubset(tuple(combo), sub, float(det))
-                found += 1
-                if found >= limit:
-                    return
+        subsets = _colex(n, size)
+        while rows := list(itertools.islice(subsets, SUBSET_CHUNK)):
+            idx = np.array(rows, dtype=np.intp)
+            subs = m[idx[:, :, None], idx[:, None, :]]
+            dets = np.linalg.det(subs).real
+            for i in np.flatnonzero(dets < 0.0).tolist():
+                if dets[i] < -tol.scaled(subs[i]):
+                    sub = subs[i].copy()
+                    sub.flags.writeable = False
+                    yield NegDetSubset(rows[i], sub, float(dets[i]))
+                    found += 1
+                    if found >= limit:
+                        return
     if not found:
         lo = _min_eigenvalue(m)
         searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
@@ -398,9 +407,8 @@ def _exponent_rows(pair: PhasePair, raa: float, rbb: float, q_cap: int, negative
             yield p, x, y, cos_p
 
 
-def _pair_candidates(s: QuantumSystem, tol: Tolerance) -> list[PhasePair]:
-    """Valid atomic phase pairs, largest phase magnitude first, then row-major; never empty."""
-    eps = tol.scaled(s.matrix)
+def _pair_candidates(s: QuantumSystem, eps: float) -> list[PhasePair]:
+    """Valid phase pairs at slack ``eps``, largest |theta| first, then row-major; never empty."""
     out = []
     for i, j in itertools.product(range(s.n), repeat=2):
         if i != j and (pe := polar(complex(s.matrix[i, j]), eps)).r > 0.0 and pe.theta != 0.0:
@@ -540,7 +548,8 @@ def build_witness(
     """
     if q_cap < 1:
         raise ValueError(f"q_cap must be >= 1, got {q_cap}")
-    eps = tol.scaled(s.matrix)
+    norm = float(np.linalg.norm(s.matrix))  # each slack on M below comes from this one norm
+    eps = tol.slack(norm)
     if s.n < 2:
         raise PreconditionError("witness construction needs at least 2 atoms")
     c = classify(s, tol)
@@ -554,7 +563,7 @@ def build_witness(
         raise PreconditionError("system is positive entry")
 
     try:
-        pairs = _pair_candidates(s, tol)
+        pairs = _pair_candidates(s, eps)
         diagonal = s.matrix.diagonal()
         i = int(np.abs(diagonal.imag).argmax())
         if abs(diagonal[i].imag) > eps:
@@ -568,14 +577,14 @@ def build_witness(
             predicted = 2.0 * primary.modulus**k * math.cos(k * primary.theta)
             if predicted < -VALUE_FLOOR:
                 return _finish(
-                    s, tol, cross_check_limit, (primary.first, primary.second),
+                    s, tol, norm, cross_check_limit, (primary.first, primary.second),
                     case="a", phase_pair=primary, neg_det_atoms=None, ee=None, eo=None,
                     p=None, q=None, k=k, x_p=None, y_p=None, component_count=2,
                     predicted_value=predicted,
                 )
 
         ids, fields = _search_case_b(s, tol, pairs, q_cap)
-        return _finish(s, tol, cross_check_limit, ids, **fields)
+        return _finish(s, tol, norm, cross_check_limit, ids, **fields)
     except OverflowError as exc:  # a power of an entry or measure past the double range
         raise SearchExhaustedError("witness values overflow double precision") from exc
 
@@ -619,9 +628,8 @@ def _blockwise_value(values: np.ndarray, p: int, q: int, m: int) -> complex:
             + values[0, 1] ** p * eo_c**q + values[1, 0] ** p * oe_c**q)
 
 
-def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> float:
+def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance, norm: float) -> float:
     """Measure under M^(x k) of the event whose components' k atoms are the rows of ``atoms``.
-
     The k factors are grouped into blocks B_t = self_compose(s, j), j the
     largest power with n**j <= KRON_BLOCK_ATOMS, plus one block of the
     k mod j left over.  The event's support is its composed indices, sorted
@@ -654,9 +662,9 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> flo
     for b, d in zip(blocks[1:], digits[1:]):
         table *= b[d[:, None], d]
     z = complex(table.sum())
-    # The Frobenius norm of M^(x k) is |M|**k, so this is the slack
-    # quantal_measure would allow on the materialized power.
-    if abs(z.imag) > tol.slack(float(np.linalg.norm(s.matrix)) ** k):
+    # The Frobenius norm of M^(x k) is norm**k, norm = |M|, so this is the
+    # slack quantal_measure would allow on the materialized power.
+    if abs(z.imag) > tol.slack(norm**k):
         raise AxiomViolationError(
             f"measure of the witness event has imaginary residue {z.imag:.3e}; "
             "input not Hermitian"
@@ -667,6 +675,7 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance) -> flo
 def _finish(
     s: QuantumSystem,
     tol: Tolerance,
+    norm: float,
     cross_check_limit: int,
     ids: tuple[int, ...],
     **fields,
@@ -698,28 +707,23 @@ def _finish(
             verified_c = _blockwise_value(values, fields["p"], fields["q"], len(ids) - 2)
     if not cmath.isfinite(verified_c):
         raise OverflowError(f"verified value {verified_c}")
-    if abs(verified_c.imag) > max(tol.scaled(s.matrix), 1e-12 * max(1.0, abs(verified_c))):
+    if abs(verified_c.imag) > max(tol.slack(norm), 1e-12 * max(1.0, abs(verified_c))):
         raise QmtError(f"verified value has imaginary residue {verified_c.imag:.3e}")
-    w = Witness(atoms=ids, verified_value=verified_c.real, **fields)
-    if abs(w.predicted_value - w.verified_value) > tol.slack(max(1.0, abs(w.predicted_value))):
+    verified, predicted = verified_c.real, fields["predicted_value"]
+    if abs(predicted - verified) > tol.slack(max(1.0, abs(predicted))):
         raise QmtError(
-            f"predicted {w.predicted_value:.12e} and verified {w.verified_value:.12e} "
-            "witness values disagree"
+            f"predicted {predicted:.12e} and verified {verified:.12e} witness values disagree"
         )
-    if w.verified_value >= 0.0:
-        raise QmtError(
-            f"constructed event has non-negative measure {w.verified_value:.3e}"
-        )
-    if not cross:
-        return w
-    cross_value = _kronecker_value(s, np.array(ids, dtype=np.intp)[comps], tol)
-    gap = abs(cross_value - w.verified_value)
-    if gap > tol.slack(max(1.0, abs(w.verified_value))):
+    if verified >= 0.0:
+        raise QmtError(f"constructed event has non-negative measure {verified:.3e}")
+    cross_value = _kronecker_value(s, np.array(ids, np.intp)[comps], tol, norm) if cross else None
+    if cross and abs(cross_value - verified) > tol.slack(max(1.0, abs(verified))):
         raise QmtError(
             f"Kronecker cross-check {cross_value:.12e} disagrees "
-            f"with the component sum {w.verified_value:.12e}"
+            f"with the component sum {verified:.12e}"
         )
-    return replace(w, cross_checked=True, cross_check_value=cross_value)
+    return Witness(atoms=ids, verified_value=verified, cross_checked=cross,
+                   cross_check_value=cross_value, **fields)
 
 
 @dataclass(frozen=True)

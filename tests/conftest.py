@@ -20,14 +20,16 @@ from qmt import (
     perm_sums,
     quantal_measure,
 )
-from qmt.errors import QCapError, QmtError
+from qmt.errors import QCapError, QmtError, SearchExhaustedError
+from qmt.functional import _min_eigenvalue
 from qmt.witness import (
     DOUBLE_SUM_CELLS,
     PAIR_SEARCH_LIMIT,
+    PERM_ORDER_MAX,
     SUBSET_SEARCH_LIMIT,
     VALUE_FLOOR,
+    NegDetSubset,
     _exponent_rows,
-    _neg_det_candidates,
 )
 
 # Reference 2-atom systems used throughout: one strongly positive with a
@@ -259,16 +261,47 @@ def document(matrix, name="m"):
 
 
 # ---------------------------------------------------------------------------
-# Witness oracles: the plan search as a scalar loop over subset x pair x p x q
-# that evaluates every row of every pair, and the literal double sum as one
-# gather per component row and as one gather per slot, which the bounded
-# search and the array double sum in qmt.witness must match.
+# Witness oracles: the negative-determinant scan one subset at a time, the
+# plan search as a scalar loop over subset x pair x p x q that evaluates
+# every row of every pair, and the literal double sum as one gather per
+# component row and as one gather per slot, which the chunked scan, the
+# bounded search and the array double sum in qmt.witness must match.
+
+
+def oracle_neg_det_candidates(s, tol, limit):
+    """Every size's subsets sorted by bitmask, each with its own gather, det and slack."""
+    n = s.n
+    m = s.matrix
+    found = 0
+    for size in range(2, min(n, PERM_ORDER_MAX) + 1):
+        combos = itertools.combinations(range(n), size)
+        for combo in sorted(combos, key=lambda c: sum(1 << i for i in c)):
+            idx = np.array(combo, dtype=np.intp)
+            sub = m[np.ix_(idx, idx)]
+            det = complex(np.linalg.det(sub)).real
+            if det < -tol.scaled(sub):
+                sub = sub.copy()
+                sub.flags.writeable = False
+                yield NegDetSubset(tuple(combo), sub, float(det))
+                found += 1
+                if found >= limit:
+                    return
+    if not found:
+        lo = _min_eigenvalue(m)
+        searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
+                    f"determinant (lambda_min = {lo:.3e})")
+        if n > PERM_ORDER_MAX and lo < -tol.scaled(m):
+            raise SearchExhaustedError(
+                f"{searched}; the system is not PSD, and a negative minor, if there is one, "
+                f"has more than {PERM_ORDER_MAX} atoms, past the search bound"
+            )
+        raise SearchExhaustedError(f"{searched}; the system is PSD or borderline")
 
 
 def oracle_search_case_b(s, tol, pairs, q_cap):
     best = None
     ratios = []
-    subsets = list(_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
+    subsets = list(oracle_neg_det_candidates(s, tol, SUBSET_SEARCH_LIMIT))
     diagonals = [
         tuple(max(0.0, quantal_measure(s, s.atom(i), tol)) for i in (pr.first, pr.second))
         for pr in pairs[:PAIR_SEARCH_LIMIT]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qmt import cli, witness
+from qmt import GenSpec, cli, generate, witness
 from qmt.cli import main
 from qmt.documents import SystemDocument, bundled_document, read_document, write_document
 from qmt.errors import (
@@ -600,3 +600,24 @@ class TestEntryPoint:
         child.stderr.close()
         assert child.wait() == 1
         assert err == b""
+
+    def test_a_write_past_the_file_size_limit_keeps_the_old_output(self, tmp_path):
+        # Only the child runs under RLIMIT_FSIZE: its 64-atom output, about
+        # 200 kB, fails past 20,000 bytes, and the 4-atom output must stay.
+        pytest.importorskip("resource")
+        factor, out = tmp_path / "f.json", tmp_path / "out.json"
+        write_document(factor, SystemDocument.from_system("f", generate(GenSpec("strong", 8, 3))))
+        write_document(out, SystemDocument.from_system("c", generate(GenSpec("strong", 4, 3))))
+        before = out.read_bytes()
+        child = ("import resource, sys; resource.setrlimit(resource.RLIMIT_FSIZE, (20000, 20000)); "
+                 "from qmt.cli import main; sys.exit(main())")
+        result = subprocess.run(
+            [sys.executable, "-c", child, "compose", str(factor), str(factor), "-o", str(out)],
+            capture_output=True,
+            text=True,
+            env={**child_env(), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr == f"error: cannot write {out}: [Errno 27] File too large\n"
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json", "out.json"]

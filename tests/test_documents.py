@@ -312,6 +312,43 @@ class TestStreamedWriter:
         assert str(got.value) == str(want.value)
         assert path.read_bytes() == b"earlier bytes\n"
 
+    def test_a_failed_rename_leaves_the_file_as_it_was(self, tmp_path, monkeypatch):
+        path = tmp_path / "kept.json"
+        path.write_bytes(b"earlier bytes\n")
+
+        def replace(src, dst):
+            raise OSError(5, "Input/output error")
+
+        monkeypatch.setattr(qmt.documents.os, "replace", replace)
+        with pytest.raises(DocumentError, match=r"cannot write .*kept.json: \[Errno 5\]"):
+            write_document(path, document([[0.5, 0.0], [0.0, 0.5]]))
+        assert path.read_bytes() == b"earlier bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["kept.json"]
+
+    def test_only_a_writable_regular_file_is_replaced(self, tmp_path, monkeypatch):
+        # A file the user may not write is opened in place, so its open is
+        # refused as before; a user who may write it anyway keeps its inode.
+        doc, path = document([[0.5, 0.0], [0.0, 0.5]]), tmp_path / "c.json"
+        path.write_bytes(b"earlier bytes\n")
+        inode = path.stat().st_ino
+        write_document(path, doc)
+        assert path.stat().st_ino != inode
+        inode = path.stat().st_ino
+        monkeypatch.setattr(qmt.documents.os, "access", lambda *args: False)
+        write_document(path, document([[0.25, 0.25], [0.25, 0.25]]))
+        assert path.stat().st_ino == inode
+        assert path.read_text("utf-8") == oracle_dumps(document([[0.25, 0.25], [0.25, 0.25]]))
+
+    def test_a_symlinked_output_is_replaced_at_its_target(self, tmp_path):
+        doc = document([[0.5, 0.0], [0.0, 0.5]])
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "t.json", tmp_path / "link.json"
+        target.write_bytes(b"earlier bytes\n")
+        link.symlink_to(target)
+        write_document(link, doc)
+        assert link.is_symlink() and target.read_text("utf-8") == oracle_dumps(doc)
+        assert [p.name for p in (tmp_path / "real").iterdir()] == ["t.json"]
+
     def test_chain_write_matches_the_oracle(self, chain, tmp_path):
         for doc in chain[:4]:
             write_document(tmp_path / "c.json", doc)

@@ -64,6 +64,7 @@ from conftest import (
     gen_strong_not_posentry,
     negative_minor_past_the_cap,
     oracle_double_sum,
+    oracle_neg_det_candidates,
     oracle_search_case_b,
     oracle_slot_double_sum,
     random_hermitian_system,
@@ -280,6 +281,96 @@ class TestFindNegativeDetSubset:
         assert neg.atoms == (0, 1)
 
 
+class TestNegDetScan:
+    """The chunked, stacked-det subset scan against the per-subset oracle."""
+
+    @staticmethod
+    def scanned(scan, s, tol, limit):
+        """Each candidate's atoms, det bits and submatrix bytes, then the error text if any."""
+        out = []
+        try:
+            for neg in scan(s, tol, limit):
+                assert not neg.submatrix.flags.writeable
+                out.append((neg.atoms, neg.det.hex(), neg.submatrix.tobytes()))
+        except SearchExhaustedError as exc:
+            out.append(str(exc))
+        return out
+
+    @staticmethod
+    def near_the_slack():
+        """4-atom systems whose minor on atoms 0 and 1 has det -c times its slack, about 1.5e-9."""
+        systems = []
+        for c in (0.3, 0.9, 1.1, 3.0):
+            x = math.sqrt(0.0625 + c * 1.5e-9)
+            m = np.diag([0.25, 0.25, 0.25 - x, 0.25 - x]).astype(complex)
+            m[0, 1] = m[1, 0] = x
+            systems.append(QuantumSystem(m))
+        return systems
+
+    def test_scan_matches_the_oracle(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        systems = [random_hermitian_system(rng, n) for n in range(2, 11) for _ in range(4)]
+        systems += self.near_the_slack()
+        found = 0
+        for s in systems:
+            for tol in (DEFAULT_TOL, Tolerance(0.0, 0.0)):
+                for limit in (1, SUBSET_SEARCH_LIMIT, math.inf):
+                    want = self.scanned(oracle_neg_det_candidates, s, tol, limit)
+                    found += len(want)
+                    for chunk in (1, 3, witness.SUBSET_CHUNK):
+                        monkeypatch.setattr(witness, "SUBSET_CHUNK", chunk)
+                        got = self.scanned(_neg_det_candidates, s, tol, limit)
+                        assert got == want, (s.n, tol, limit, chunk)
+                    monkeypatch.undo()
+        assert found > 3000
+
+    @pytest.mark.parametrize("n", [7, 8, 12, 20])
+    def test_scan_past_the_cap_matches_the_oracle(self, monkeypatch, n):
+        s = negative_minor_past_the_cap(n)
+        want = self.scanned(oracle_neg_det_candidates, s, DEFAULT_TOL, SUBSET_SEARCH_LIMIT)
+        assert len(want) == 1 and "more than 6 atoms" in want[0]
+        for chunk in (1, 3, witness.SUBSET_CHUNK)[n == 20:]:  # 60,439 one-subset chunks is slow
+            monkeypatch.setattr(witness, "SUBSET_CHUNK", chunk)
+            assert self.scanned(_neg_det_candidates, s, DEFAULT_TOL, SUBSET_SEARCH_LIMIT) == want
+
+    def test_witnesses_are_unchanged_with_the_oracle_scan(self, monkeypatch):
+        # The 200 acceptance systems, then the 6- and 8-atom systems that the
+        # benchmark's witness-batch workload picks for its seeds 1, 2, 3 and 7.
+        systems = [generate(GenSpec(WEAK, a, i)) for i in range(100) for a in (2, 3)]
+        systems += [generate(GenSpec(WEAK, a, seed * 10**6 + a * 10**4 + i))
+                    for seed in (1, 2, 3, 7) for a, i in ((6, 0), (6, 1), (6, 2), (8, 0))]
+        got = [repr(build_witness(s)) for s in systems]
+        monkeypatch.setattr(witness, "_neg_det_candidates", oracle_neg_det_candidates)
+        assert got == [repr(build_witness(s)) for s in systems]
+
+    def test_memory_of_the_20_atom_scan_is_bounded_by_its_chunks(self):
+        # Unchunked, the 38,760 six-atom submatrices alone would take 22 MB.
+        s = negative_minor_past_the_cap(20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SearchExhaustedError, match="more than 6 atoms"):
+                list(_neg_det_candidates(s, DEFAULT_TOL, SUBSET_SEARCH_LIMIT))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 38760 * 36 * 16 / 4, peak
+
+    def test_a_negative_pair_takes_no_larger_determinant(self, monkeypatch):
+        # Atoms 4 and 5 carry the N matrix's negative 2 x 2 minor.
+        m = np.diag([0.2, 0.1, 0.2, 0.1, 0.2, 0.0]).astype(complex)
+        m[4, 5] = m[5, 4] = 0.1
+        s, shapes, real_det = QuantumSystem(m), [], np.linalg.det
+
+        def det(a):
+            shapes.append(a.shape)
+            return real_det(a)
+
+        monkeypatch.setattr(np.linalg, "det", det)
+        neg = find_negative_det_subset(s)
+        assert neg.atoms == (4, 5)
+        assert shapes == [(15, 2, 2)]
+
+
 class TestBuildWitness:
     def test_case_b_iii_reference(self, weak_only_system):
         w = build_witness(weak_only_system)
@@ -438,14 +529,15 @@ class TestBuildWitness:
             with pytest.raises(SearchExhaustedError, match="overflow double precision"):
                 build_witness(s, exact, q_cap=q_cap, cross_check_limit=0)
             with pytest.raises(OverflowError, match="predicted value -inf of p=2, q=1"):
-                _search_case_b(s, exact, _pair_candidates(s, exact), q_cap)
+                _search_case_b(s, exact, _pair_candidates(s, exact.scaled(s.matrix)), q_cap)
 
     def test_a_verified_value_that_overflows_is_refused(self, monkeypatch):
         # A plan that predicts a finite value, but whose component products
         # (four entries of 1e100) overflow in the verifying double sum.
         exact = Tolerance(0.0, 0.0)
         s = QuantumSystem([[0.5, 1e100j], [-1e100j, 0.5]], tol=exact)
-        plan = dict(case="b_iii", phase_pair=_pair_candidates(s, exact)[0], neg_det_atoms=(0, 1),
+        pair = _pair_candidates(s, exact.scaled(s.matrix))[0]
+        plan = dict(case="b_iii", phase_pair=pair, neg_det_atoms=(0, 1),
                     ee=0.25, eo=1e200, p=2, q=1, k=4, x_p=0.5, y_p=2e200, component_count=2,
                     predicted_value=-1.0)
         monkeypatch.setattr(witness, "_search_case_b", lambda *args: ((0, 1, 0, 1), plan))
@@ -639,7 +731,7 @@ class TestBuildWitness:
                 v = np.zeros(n**k)
                 v[np.ravel_multi_index(tuple(atoms.T), (n,) * k)] = 1.0
                 reference = _kron_form([s.matrix] * k, v, v)
-                value = _kronecker_value(s, atoms, DEFAULT_TOL)
+                value = _kronecker_value(s, atoms, DEFAULT_TOL, float(np.linalg.norm(s.matrix)))
                 assert abs(value - reference.real) <= 1e-13 * abs(reference), (n, k, count)
 
     def test_kronecker_value_memory_does_not_grow_with_the_composed_atoms(self):
@@ -651,7 +743,7 @@ class TestBuildWitness:
         atoms = component_atoms(w)
         tracemalloc.start()
         try:
-            value = _kronecker_value(s, atoms, DEFAULT_TOL)
+            value = _kronecker_value(s, atoms, DEFAULT_TOL, float(np.linalg.norm(s.matrix)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -721,7 +813,7 @@ class TestArrayPaths:
 
     @staticmethod
     def search(search, s, q_cap, pairs=None):
-        pairs = pairs or _pair_candidates(s, DEFAULT_TOL)
+        pairs = pairs or _pair_candidates(s, DEFAULT_TOL.scaled(s.matrix))
         try:
             return search(s, DEFAULT_TOL, pairs, q_cap)
         except QCapError as exc:
@@ -802,7 +894,7 @@ class TestArrayPaths:
         twins = 0
         for atoms, seed in self.SYSTEMS:
             s = generate(GenSpec(WEAK, atoms, seed))
-            by_atoms = {pr[:2]: pr for pr in _pair_candidates(s, DEFAULT_TOL)}
+            by_atoms = {pr[:2]: pr for pr in _pair_candidates(s, DEFAULT_TOL.scaled(s.matrix))}
             for (i, j), pair in by_atoms.items():
                 twin = by_atoms[j, i]
                 assert twin.theta == -pair.theta and twin.modulus == pair.modulus
