@@ -5,16 +5,7 @@ composition under the product rule, probe systems for the composition-based
 positivity test, and constructive self-composition counterexamples.
 """
 
-from .algebra import (
-    Event,
-    ProductRectangle,
-    complement,
-    embed_product,
-    intersection,
-    rectangle_cover,
-    symdiff,
-    union,
-)
+from .algebra import Event, ProductRectangle, embed_product, rectangle_cover
 from .classify import (
     Classification,
     classify,

@@ -80,6 +80,7 @@ class Event:
         return Event(self.bits & self._coerce(other).bits, self.arity)
 
     def __xor__(self, other: "Event") -> "Event":
+        """Symmetric difference, the Z2 addition of the event algebra; ``&`` is its product."""
         return Event(self.bits ^ self._coerce(other).bits, self.arity)
 
     def complement(self) -> "Event":
@@ -97,24 +98,6 @@ class Event:
     def __repr__(self) -> str:
         members = ",".join(map(str, self.indices()))
         return f"Event({{{members}}}, arity={self.arity})"
-
-
-def symdiff(a: Event, b: Event) -> Event:
-    """Symmetric difference: the Z2 addition of the event algebra."""
-    return a ^ b
-
-
-def union(a: Event, b: Event) -> Event:
-    return a | b
-
-
-def intersection(a: Event, b: Event) -> Event:
-    """Intersection: the Z2 multiplication of the event algebra."""
-    return a & b
-
-
-def complement(a: Event) -> Event:
-    return a.complement()
 
 
 @dataclass(frozen=True)

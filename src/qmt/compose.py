@@ -3,14 +3,18 @@
 Composition is defined through atomic matrices: the composed system's
 atomic matrix is the Kronecker product of the factor matrices, under the
 global pair-index convention (i, j) -> i*n2 + j.  ``_kron_form`` evaluates
-every composed value the package needs by mode products on the factors,
-without forming the product; the rectangle double sum
+the probe's, the tensor probe's and ``marginal_check``'s composed values by
+mode products on the factors, without forming the product; the witness
+cross-check instead gathers the event's entries from ``self_compose``
+blocks.  ``_kron_slack`` gives each composed value the slack its
+materialized product would get.  The rectangle double sum
 ``eval_composed_factored`` is the paper's product rule, kept as the
 reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -84,9 +88,18 @@ def _kron_system(matrix: np.ndarray, labels: Sequence[str], name: str,
     """The system ``compose`` makes from a first factor with these parts and ``s``."""
     meta = {"composed_of": [name, s.metadata.get("name", "?")],
             "factor_arities": [matrix.shape[0], s.n]}
-    norm = float(np.linalg.norm(matrix)) * float(np.linalg.norm(s.matrix))
-    product = _KronProduct(_kron(matrix, s.matrix), tol.slack(norm))
+    slack = _kron_slack(tol, float(np.linalg.norm(matrix)), float(np.linalg.norm(s.matrix)))
+    product = _KronProduct(_kron(matrix, s.matrix), slack)
     return QuantumSystem(product, _pair_labels(labels, s.labels), tol=tol, metadata=meta)
+
+
+def _kron_slack(tol: Tolerance, *norms: float) -> float:
+    """``tol``'s slack for a value of A_1 (x) ... (x) A_r, from the factors' Frobenius norms.
+
+    ||A (x) B||_F = ||A||_F ||B||_F, so this is the slack ``tol.scaled``
+    gives the materialized product, without forming it.
+    """
+    return tol.slack(math.prod(norms))
 
 
 def _check_disjoint(rects: Sequence[ProductRectangle], what: str) -> None:

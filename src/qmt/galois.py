@@ -21,7 +21,7 @@ import numpy as np
 
 from .algebra import Event
 from .classify import is_in_dual_of_posentry, is_strongly_positive
-from .compose import _kron_form
+from .compose import _kron_form, _kron_slack
 from .errors import AxiomViolationError
 from .functional import DEFAULT_TOL, QuantumSystem, Tolerance, _indicators, _min_eigenvalue
 
@@ -82,8 +82,10 @@ def probe_quadratic_form(
     The composed event pairs each listed event A_i with the probe atom p_i
     (pair (a, p_i) sits at a*(m+1) + i for m events); its measure under
     M_s (x) M_probe, evaluated by mode products, collapses to the quadratic
-    form on the event matrix M of ``events``, scaled by 1/rho.  Requires
-    pairwise disjoint events of the probed system's arity.
+    form on the event matrix M of ``events``, scaled by 1/rho.  Its
+    imaginary part may be as large as the slack of the composed matrix,
+    which grows with |v|**2 / rho.  Requires pairwise disjoint events of
+    the probed system's arity.
     """
     probe = v if isinstance(v, ProbeSystem) else build_probe_system(v, tol)
     if len(events) != probe.n - 1:
@@ -97,7 +99,8 @@ def probe_quadratic_form(
     x[:, : probe.n - 1] = rows.T
     x = x.reshape(-1)
     value = _kron_form([s.matrix, probe.matrix], x, x)
-    if abs(value.imag) > tol.scaled(s.matrix):
+    norms = (float(np.linalg.norm(m)) for m in (s.matrix, probe.matrix))
+    if abs(value.imag) > _kron_slack(tol, *norms):
         raise AxiomViolationError(
             f"probe value has imaginary residue {value.imag:.3e}"
         )

@@ -38,7 +38,7 @@ import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
 from .classify import _sweep_limit_message, classify, is_positive_entry, is_strongly_positive
-from .compose import _kron_form, self_compose
+from .compose import _kron_form, _kron_slack, self_compose
 from .errors import (
     AxiomViolationError,
     BruteForceLimitError,
@@ -68,15 +68,15 @@ SUBSET_CHUNK = 2048
 # same double sum is evaluated blockwise (grouped by shared prefixes and
 # permutation blocks), which is algebraically identical.
 ORACLE_PAIR_CAP = 2048
-# The cross-check builds every component row, up to this many.
-COMPONENT_LIST_CAP = 65536
 # Component pairs whose slot products the literal double sum forms at once.
 DOUBLE_SUM_CELLS = 1 << 17
 # Largest composed atom count n**k the cross-check evaluates, and the largest
 # Kronecker block it materializes on the way.  Its cost grows as the square of
 # the number of the event's composed indices (at most 720 within the limit),
-# not as n**k.
+# not as n**k; a larger limit may raise that count, but not the cells of its
+# table past CROSS_CHECK_CELLS.
 CROSS_CHECK_LIMIT = 1 << 20
+CROSS_CHECK_CELLS = 720**2
 KRON_BLOCK_ATOMS = 64
 
 
@@ -307,9 +307,9 @@ class Witness:
     ``np.array(w.atoms)[w.component_rows(w.component_count)]`` holds the
     components' atom indices.
     ``cross_checked`` is set when the event's measure was also evaluated
-    against the Kronecker power M^(x k), which needs at most that many
-    components and ``cross_check_limit`` (default 2**20) composed atoms;
-    ``cross_check_value`` holds that measure.
+    against the Kronecker power M^(x k), which needs at most 720 components
+    (CROSS_CHECK_CELLS) and ``cross_check_limit`` (default 2**20) composed
+    atoms; ``cross_check_value`` holds that measure.
     """
 
     case: str
@@ -545,9 +545,13 @@ def build_witness(
     atom measures are the real diagonal; an imaginary part past ``tol``'s
     slack anywhere on it raises ``AxiomViolationError``.  ``q_cap`` must be
     at least 1; a value past the double range raises ``SearchExhaustedError``.
+    ``cross_check_limit`` must be below 2**63, so that every composed index
+    it admits fits an int64.
     """
     if q_cap < 1:
         raise ValueError(f"q_cap must be >= 1, got {q_cap}")
+    if cross_check_limit >= 1 << 63:
+        raise ValueError(f"cross_check_limit must be < 2**63, got {cross_check_limit}")
     norm = float(np.linalg.norm(s.matrix))  # each slack on M below comes from this one norm
     eps = tol.slack(norm)
     if s.n < 2:
@@ -645,9 +649,10 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance, norm: 
     ``_blockwise_value``.  Within CROSS_CHECK_LIMIT = 2**20 composed atoms
     count = 2 (m!/2)**q is at most 720: m <= 6, n >= m and k = p + q m with
     p >= 1 leave m = 6, q = 1 (6**7 atoms) as the largest, a table of
-    518,400 cells (8.3 MB).  Under COMPONENT_LIST_CAP components count**2
-    stays below 1.86 n**k at any limit, so no caller's limit makes the
-    table much larger than the n**k indicator it replaces.
+    518,400 cells (8.3 MB).  A caller's larger limit admits larger
+    events, whose table could outgrow any memory: ``_finish`` cross-checks
+    none past CROSS_CHECK_CELLS, the same 518,400, and ``build_witness``
+    refuses a limit whose indices would not fit an int64.
     """
     n, k = s.n, atoms.shape[1]
     j = 1
@@ -662,9 +667,8 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance, norm: 
     for b, d in zip(blocks[1:], digits[1:]):
         table *= b[d[:, None], d]
     z = complex(table.sum())
-    # The Frobenius norm of M^(x k) is norm**k, norm = |M|, so this is the
-    # slack quantal_measure would allow on the materialized power.
-    if abs(z.imag) > tol.slack(norm**k):
+    # The slack quantal_measure would allow on the materialized power.
+    if abs(z.imag) > _kron_slack(tol, *[norm] * k):
         raise AxiomViolationError(
             f"measure of the witness event has imaginary residue {z.imag:.3e}; "
             "input not Hermitian"
@@ -688,15 +692,14 @@ def _finish(
     The measure is the literal double sum up to ORACLE_PAIR_CAP components
     and the blockwise one of case (b) beyond; it must be finite (else
     OverflowError), real, match the predicted value and be negative.  The
-    cross-check, run up to
-    COMPONENT_LIST_CAP components when s.n**k fits the limit, evaluates the
-    embedded event against the operator, not the component factorisation,
-    so it stays independent of the double sum that produced the verified
-    value.
+    cross-check, run when count**2 fits CROSS_CHECK_CELLS and s.n**k the
+    limit, evaluates the embedded event against the operator, not the
+    component factorisation, so it stays independent of the double sum
+    that produced the verified value.
     """
     count, k = fields["component_count"], fields["k"]
     literal = count <= ORACLE_PAIR_CAP
-    cross = count <= COMPONENT_LIST_CAP and s.n**k <= cross_check_limit
+    cross = count * count <= CROSS_CHECK_CELLS and s.n**k <= cross_check_limit
     if literal or cross:
         comps = _component_ids(fields["p"] or k, fields["q"] or 0, len(ids) - 2, count)
     values = s.matrix[np.ix_(ids, ids)]
@@ -771,10 +774,8 @@ def tensor_closed_probe(
     pb = embed_product(ProductRectangle(full1, s2.atom(j)))
     entry_value = _kron_form(blocks, *_indicators([pa, pb], n))
 
-    # The slack classify would allow on the composed matrix, whose Frobenius
-    # norm is the product of the factors' norms.
-    norm = float(np.linalg.norm(s1.matrix) * np.linalg.norm(s2.matrix))
-    slack = tol.slack(norm)
+    # The slack classify would allow on the composed matrix.
+    slack = _kron_slack(tol, float(np.linalg.norm(s1.matrix)), float(np.linalg.norm(s2.matrix)))
     if not (lo < -slack and (abs(entry_value.imag) > slack or entry_value.real < -slack)):
         raise QmtError("composed system unexpectedly fell back into S or P")
     return TensorProbeReport(

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from qmt import (
-    ArityMismatchError,
-    Event,
-    ProductRectangle,
-    complement,
-    embed_product,
-    intersection,
-    rectangle_cover,
-    symdiff,
-    union,
-)
+from qmt import ArityMismatchError, Event, ProductRectangle, embed_product, rectangle_cover
 
 
 def ev(indices, n):
@@ -38,10 +28,16 @@ class TestEvent:
             Event.from_indices([3], 3)
         with pytest.raises(ValueError):
             Event(-1, 3)
+        with pytest.raises(ValueError, match="arity must be non-negative"):
+            Event(0, -1)
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatchError):
             ev([0], 2) | ev([0], 3)
+
+    def test_only_events_combine(self):
+        with pytest.raises(TypeError, match="expected Event, got int"):
+            ev([0], 2) | 5
 
     def test_numpy_integer_indices(self):
         # a fixed-width shift would wrap at 64 and overflow the sign bit at 63
@@ -54,24 +50,36 @@ class TestEvent:
         e = ev([1], 4)
         assert e.complement().complement() == e
 
+    def test_difference_and_subset(self):
+        a, b = ev([0, 1], 3), ev([1, 2], 3)
+        assert a.difference(b) == ev([0], 3) and b.difference(a) == ev([2], 3)
+        assert a.difference(a) == Event.empty(3)
+        assert ev([1], 3).issubset(a) and Event.empty(3).issubset(a) and a.issubset(a)
+        assert not a.issubset(b) and not Event.full(3).issubset(a)
+        with pytest.raises(ArityMismatchError):
+            a.issubset(ev([0], 2))
+
 
 class TestZ2Operations:
+    """Symmetric difference is the Z2 addition of the event algebra, and
+    intersection its multiplication."""
+
     def test_zero_element(self):
         b = ev([1, 2], 3)
-        assert symdiff(Event.empty(3), b) == b
+        assert Event.empty(3) ^ b == b
 
     def test_full_is_complement(self):
         b = ev([0, 2], 3)
-        assert symdiff(Event.full(3), b) == b.complement()
+        assert Event.full(3) ^ b == b.complement()
 
     def test_overlapping_symdiff(self):
-        assert symdiff(ev([0, 1], 3), ev([1, 2], 3)) == ev([0, 2], 3)
+        assert ev([0, 1], 3) ^ ev([1, 2], 3) == ev([0, 2], 3)
 
     def test_union_intersection_complement(self):
         a, b = ev([0, 1], 3), ev([1, 2], 3)
-        assert union(a, b) == ev([0, 1, 2], 3)
-        assert intersection(a, b) == ev([1], 3)
-        assert complement(a) == ev([2], 3)
+        assert a | b == ev([0, 1, 2], 3)
+        assert a & b == ev([1], 3)
+        assert a.complement() == ev([2], 3)
 
     def test_group_law(self):
         # a + (a + b) = b for every same-arity pair
@@ -80,7 +88,7 @@ class TestZ2Operations:
             n = int(rng.integers(1, 10))
             a = Event(int(rng.integers(0, 1 << n)), n)
             b = Event(int(rng.integers(0, 1 << n)), n)
-            assert symdiff(a, symdiff(a, b)) == b
+            assert a ^ (a ^ b) == b
 
 
 class TestProductEmbedding:
@@ -135,6 +143,10 @@ class TestRectangleCover:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             rectangle_cover(Event.empty(4), 2, 2, "columns")
+
+    def test_arity_must_be_the_product(self):
+        with pytest.raises(ArityMismatchError, match="event arity 4 != 2\\*3"):
+            rectangle_cover(Event.empty(4), 2, 3)
 
     def test_covers_partition_random_events(self):
         rng = np.random.default_rng(3)

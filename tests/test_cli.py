@@ -106,6 +106,13 @@ class TestClassifyCommand:
         code, _, err = run(["classify", str(bad)], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    def test_zero_atom_document_exits_3(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"name": "x", "atoms": [], "matrix": [], "metadata": {}}')
+        code, out, err = run([command, str(empty)], capsys)
+        assert (code, out, err) == (3, "", "error: a system needs at least one atom\n")
+
     def test_eps_flag_widens_tolerance(self, tmp_path, capsys):
         slightly_off = tmp_path / "off.json"
         slightly_off.write_text(
@@ -184,7 +191,20 @@ class TestClassifyCommand:
             assert code == 0
             assert "weakly positive:  yes" in out
 
+    def test_at_the_limit_the_lowest_violator_is_found_first(self, tmp_path, capsys):
+        # At 20 atoms, the seed-1204 draw's lowest violator is mask 1 (atom
+        # 0), found in the sweep's first two-mask block.
+        path = tmp_path / "h20.json"
+        argv = ["gen", "--kind", "hermitian_only", "--atoms", "20", "--seed", "1204", "-o", str(path)]
+        assert run(argv, capsys)[0] == 0
+        value = read_document(path).matrix[0, 0].real
+        code, out, _ = run(["classify", "--json", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["weak_violation"] == {"atoms": [0], "value": value}
+        assert value < 0
+
     def test_above_the_limit_a_violator_on_the_first_20_atoms_is_exact(self, tmp_path, capsys):
+        # A violator on the first 20 atoms makes W an exact "no" at 21 atoms.
         path = tmp_path / "h.json"
         argv = ["gen", "--kind", "hermitian_only", "--atoms", "21", "--seed", "1", "-o", str(path)]
         assert run(argv, capsys)[0] == 0
@@ -290,9 +310,11 @@ class TestWitnessCommand:
         assert payload["components"][0] == ["g1", "g1"] + ["g1", "g2"] * 18
 
     def test_component_lines(self, tmp_path, capsys):
-        # Seed 46: the first phase atom g1 three times, then nine blocks of
-        # even permutations of the negative-determinant atoms g0, g1, g2, in
-        # itertools.product order; 16 of the 39366 rows are printed.
+        # Seed 46: 39366 components over 3^30 composed atoms, verified by the
+        # blockwise sum and too large to cross-check.  Each is the first
+        # phase atom g1 three times, then nine blocks of even permutations of
+        # the negative-determinant atoms g0, g1, g2, in itertools.product
+        # order; 16 rows are printed, 64 with --json.
         path = str(tmp_path / "w46.json")
         gen = ["gen", "--kind", "weak_not_strong_not_posentry", "--atoms", "3", "--seed", "46"]
         assert run([*gen, "-o", path], capsys)[0] == 0
@@ -309,6 +331,13 @@ class TestWitnessCommand:
         start = lines.index("  event components: 39366") + 1
         assert lines[start : start + 17] == expected + ["    ... 39350 more"]
         assert [len(line.split(", ")) for line in lines[start : start + 16]] == [30] * 16
+        code, out, _ = run(["witness", "--json", path], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["component_count"], payload["cross_checked"]) == (39366, False)
+        assert payload["verified_value"] < 0
+        assert len(payload["components"]) == 64
+        assert {len(row) for row in payload["components"]} == {30}
 
     @pytest.mark.parametrize("flags, count", [([], 16), (["--json"], 64)])
     def test_only_the_printed_rows_are_built(self, tmp_path, monkeypatch, capsys, flags, count):
@@ -335,8 +364,10 @@ class TestWitnessCommand:
         assert [len(line.split(", ")) for line in lines[start : start + 16]] == [43] * 16
         assert lines[start + 16] == "    ... 1062866 more"
         code, out, _ = run(["witness", "--json", path], capsys)
+        assert code == 0
         payload = json.loads(out)
         assert (payload["component_count"], payload["cross_checked"]) == (1062882, False)
+        assert payload["verified_value"] < 0
         assert len(payload["components"]) == 64
         assert {len(row) for row in payload["components"]} == {43}
 
@@ -422,6 +453,23 @@ class TestProbeCommand:
         assert code == 0
         assert json.loads(out)["value"] >= -1e-9
 
+    def test_a_large_vector_gets_the_slack_of_the_composed_matrix(self, tmp_path, capsys):
+        # |v|^2 / rho is about 7e10, and so is the probe's norm: the value,
+        # -6.5e7, has an imaginary residue of 3e-8, a relative error of 5e-16,
+        # which the probed matrix's own slack once refused (exit 3).
+        path = str(tmp_path / "g8.json")
+        gen = ["gen", "--kind", "hermitian_only", "--atoms", "8", "--seed", "0", "-o", path]
+        assert run(gen, capsys)[0] == 0
+        vector = ("-22626+18040j,-48410-38128j,28843+26086j,-24709+92546j,"
+                  "-88766-144089j,960+66535j,95201-36177j,59509+15187j")
+        code, out, err = run(["probe", "--json", path, f"--vector={vector}"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        v = np.array([complex(x) for x in vector.split(",")])
+        m = read_document(path).matrix
+        want = np.vdot(v, m @ v).real / (1 + abs(v.sum()) ** 2)
+        assert payload["value"] == pytest.approx(want, rel=1e-12)
+        assert payload["value"] < -6e7
 
     def test_probe_system_built_once(self, doc_path, monkeypatch, capsys):
         built = []
@@ -471,13 +519,17 @@ class TestGenAndVerifyCommands:
         "atoms, detail", [(16, "exhaustive)"), (17, "(by construction)")]
     )
     def test_verify_sum_rule_exhaustive_up_to_16_atoms(self, tmp_path, capsys, atoms, detail):
-        path = tmp_path / f"c{atoms}.json"
-        argv = ["gen", "--kind", "classical", "--atoms", str(atoms), "--seed", "1", "-o", str(path)]
-        assert run(argv, capsys)[0] == 0
-        code, out, _ = run(["verify", str(path)], capsys)
-        assert code == 0
-        line = next(x for x in out.splitlines() if "quantal sum rule" in x)
-        assert line.startswith("  quantal sum rule: pass  (") and line.endswith(detail)
+        # The sum rule is checked on every event up to 16 atoms, and holds
+        # by construction above, for systems in W and outside it alike.
+        for kind, seed in (("classical", 1), ("hermitian_only", 3)):
+            path = tmp_path / f"{kind}{atoms}.json"
+            argv = ["gen", "--kind", kind, "--atoms", str(atoms), "--seed", str(seed),
+                    "-o", str(path)]
+            assert run(argv, capsys)[0] == 0
+            code, out, _ = run(["verify", str(path)], capsys)
+            assert code == 0
+            line = next(x for x in out.splitlines() if "quantal sum rule" in x)
+            assert line.startswith("  quantal sum rule: pass  (") and line.endswith(detail)
 
     def test_verify_non_normalized_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

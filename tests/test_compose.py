@@ -14,7 +14,7 @@ from qmt import (
     self_compose,
 )
 from qmt.compose import _kron, _kron_form
-from qmt.errors import AxiomViolationError, BruteForceLimitError
+from qmt.errors import ArityMismatchError, AxiomViolationError, BruteForceLimitError
 
 from conftest import random_hermitian_system
 
@@ -130,6 +130,13 @@ class TestFactoredEvaluation:
         with pytest.raises(ValueError):
             eval_composed_factored(m_system, n_system, rects, rects)
 
+    def test_rejects_rectangles_of_other_arities(self, m_system, n_system):
+        good = [ProductRectangle(Event.full(2), Event.full(2))]
+        bad = [ProductRectangle(Event.full(2), Event.full(3))]
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ArityMismatchError, match="rectangle arities"):
+                eval_composed_factored(m_system, n_system, a, b)
+
     def test_cover_strategies_agree_and_match_materialized(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
@@ -164,6 +171,11 @@ class TestMarginalCheck:
     def test_off_diagonal(self, n_system, m_system):
         value = marginal_check(n_system, m_system, ev([0], 2), ev([1], 2))
         assert value.real == pytest.approx(0.4)
+
+    def test_events_must_belong_to_the_first_factor(self, m_system, n_system):
+        for a, b in ((ev([0], 3), ev([0], 2)), (ev([0], 2), ev([0], 4))):
+            with pytest.raises(ArityMismatchError, match="first factor"):
+                marginal_check(m_system, n_system, a, b)
 
     def test_exhaustive_agreement_with_first_factor(self):
         rng = np.random.default_rng(23)

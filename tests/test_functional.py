@@ -71,6 +71,16 @@ class TestQuantumSystem:
     def test_default_labels(self, n_system):
         assert n_system.labels == ("g0", "g1")
 
+    def test_attributes_are_immutable(self, n_system):
+        with pytest.raises(AttributeError, match="QuantumSystem is immutable"):
+            n_system.labels = ("a", "b")
+        assert repr(n_system) == "QuantumSystem(n=2, labels=('g0', 'g1'))"
+
+    @pytest.mark.parametrize("i", [-1, 2])
+    def test_atom_out_of_range(self, n_system, i):
+        with pytest.raises(ValueError, match=f"atom index {i} out of range for 2 atoms"):
+            n_system.atom(i)
+
     def test_eps_widening_admits_borderline(self):
         m = np.array([[0.25, 0.25], [0.25, 0.25 + 3e-9]])
         with pytest.raises(AxiomViolationError):
@@ -476,6 +486,20 @@ class TestMeasureTable:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             MeasureTable(2, np.zeros(3))
+
+    @pytest.mark.parametrize("n", [0, MEASURE_TABLE_LIMIT + 1])
+    def test_arity_outside_the_table_limit(self, n):
+        with pytest.raises(BruteForceLimitError, match=f"1 <= n <= 16, got {n}"):
+            MeasureTable(n, np.zeros(1 << n))
+
+    def test_value_of_an_event_of_another_arity(self, n_system):
+        with pytest.raises(ArityMismatchError, match="event arity 3 != table arity 2"):
+            measure_table(n_system).value(Event.full(3))
+
+    def test_system_past_the_table_limit(self):
+        s = QuantumSystem(np.eye(MEASURE_TABLE_LIMIT + 1) / (MEASURE_TABLE_LIMIT + 1))
+        with pytest.raises(BruteForceLimitError, match="n=17 exceeds measure-table limit 16"):
+            measure_table(s)
 
     def test_validate_rejects_unnormalized(self):
         table = MeasureTable(1, np.array([0.0, 0.5]))

@@ -102,6 +102,22 @@ class TestProbeQuadraticForm:
         direct = (v.conj() @ s.matrix @ v).real / rho
         assert probe_quadratic_form(s, s.atoms(), v) == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
+    def test_large_vectors_get_the_slack_of_the_composed_matrix(self):
+        # The value's rounding grows with ||M_s|| ||M_probe||, and ||M_probe||
+        # with |v|^2 / rho; the probed matrix's slack alone refused 58 of these.
+        checked = 0
+        for seed in range(40):
+            s = generate(GenSpec("hermitian_only", 8, seed))
+            rng = np.random.default_rng(seed)
+            for scale in (1e3, 1e5, 1e7):
+                v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+                v = (v - v.mean()) * scale
+                direct = (v.conj() @ s.matrix @ v).real / (1.0 + abs(v.sum()) ** 2)
+                value = probe_quadratic_form(s, s.atoms(), v)
+                assert value == pytest.approx(direct, rel=1e-12), (seed, scale)
+                checked += 1
+        assert checked == 120
+
     def test_rejects_overlapping_events(self, n_system):
         overlapping = [Event.from_indices([0], 2), Event.from_indices([0, 1], 2)]
         with pytest.raises(ValueError):

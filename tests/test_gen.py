@@ -6,6 +6,7 @@ import pytest
 from qmt import GenSpec, classify, generate, is_positive_entry, is_strongly_positive
 from qmt import gen
 from qmt.algebra import ENUMERATION_LIMIT
+from qmt.errors import SearchExhaustedError
 from qmt.gen import KINDS
 
 
@@ -108,6 +109,14 @@ class TestCertificates:
         monkeypatch.setattr(gen, "_certified", by_classify)
         for spec, m in zip(specs, now):
             assert np.array_equal(generate(spec).matrix, m), spec
+
+    def test_gives_up_after_max_retries(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(gen, "_certified", lambda system, kind, tol: draws.append(1) and False)
+        with pytest.raises(SearchExhaustedError,
+                           match="could not generate a certified 'strong' system in 1000 tries"):
+            generate(GenSpec("strong", 2, 1))
+        assert len(draws) == gen.MAX_RETRIES == 1000
 
     def test_weak_only_above_the_enumeration_limit(self):
         s = generate(GenSpec("weak_not_strong_not_posentry", ENUMERATION_LIMIT + 1, 1))

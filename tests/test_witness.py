@@ -38,7 +38,7 @@ from qmt.errors import (
 )
 from qmt.functional import DEFAULT_TOL
 from qmt.witness import (
-    COMPONENT_LIST_CAP,
+    CROSS_CHECK_CELLS,
     CROSS_CHECK_LIMIT,
     DEFAULT_Q_CAP,
     DOUBLE_SUM_CELLS,
@@ -473,15 +473,34 @@ class TestBuildWitness:
         with pytest.raises(ValueError, match="q_cap must be >= 1"):
             build_witness(generate(GenSpec(WEAK, 2, 0)), q_cap=q_cap)
 
+    @pytest.mark.parametrize("atoms, seed, k, count", [(6, 8, 38, 2), (3, 46, 30, 39366)])
+    def test_a_cross_check_limit_past_int64_is_rejected(self, atoms, seed, k, count):
+        # At 10**40 the 6-atom seed-8 witness's 6**38 composed indices once
+        # overflowed numpy's ravel_multi_index ("invalid dims"), and the seed-46
+        # witness asked for a 39366**2 complex table, 23.1 GiB.  Below 2**63
+        # both build: 6**38 is past the limit, and 39366**2 past the table's
+        # cell budget, so neither is cross-checked.
+        s = generate(GenSpec(WEAK, atoms, seed))
+        for limit in (10**40, 2**63):
+            with pytest.raises(ValueError, match="cross_check_limit must be < 2\\*\\*63"):
+                build_witness(s, cross_check_limit=limit)
+        w = build_witness(s, cross_check_limit=2**63 - 1)
+        assert (w.k, w.component_count, w.cross_checked) == (k, count, False)
+        assert (atoms**k > 2**63 - 1) != (count**2 > CROSS_CHECK_CELLS)
+        assert w.verified_value == build_witness(s).verified_value < 0
+
     @pytest.mark.parametrize("fault", ["ee_not_below_eo", "imaginary_residue"])
     def test_subsets_past_the_winner_keep_their_checks(self, monkeypatch, fault):
-        # The 6-atom seed-8 plan comes from the first of 24 subsets, so the
-        # search bounds skip the exponent pass of the other 23; each must
-        # still have its permutation sums checked.
+        # The 6-atom seed-8 plan, q = 16, comes from the first of 24
+        # subsets, so both bounds of the plan search decide it: they skip
+        # the exponent pass of the other 23, and each must still have its
+        # permutation sums checked.
         s = generate(GenSpec(WEAK, 6, 8))
         subsets = list(_neg_det_candidates(s, DEFAULT_TOL, SUBSET_SEARCH_LIMIT))
         assert len(subsets) == SUBSET_SEARCH_LIMIT
-        assert build_witness(s, cross_check_limit=0).neg_det_atoms == subsets[0].atoms
+        w = build_witness(s)
+        assert w.neg_det_atoms == subsets[0].atoms
+        assert (w.p, w.q, w.k, w.component_count, w.cross_checked) == (6, 16, 38, 2, False)
         last = subsets[-1].submatrix
         real_sums, real_blocks = witness.perm_sums, witness._perm_block_sums
 
@@ -631,11 +650,12 @@ class TestBuildWitness:
         assert len(w.component_rows(10**6)) == 39366 and calls[-1] == (3, 9, 3, 39366)
 
     def test_first_rows_of_a_witness_past_the_cross_check_budget(self):
-        # Seed 62: 1062882 components of 43 slots, more than COMPONENT_LIST_CAP;
-        # its first rows are the first rows of the product order all the same.
+        # Seed 62: 1062882 components of 43 slots, past the cross-check's
+        # cell budget; its first rows are the first rows of the product
+        # order all the same.
         w = build_witness(generate(GenSpec(WEAK, 3, 62)))
         assert (w.p, w.q, w.k, w.component_count) == (7, 12, 43, 1062882)
-        assert w.component_count > COMPONENT_LIST_CAP and not w.cross_checked
+        assert w.component_count**2 > CROSS_CHECK_CELLS and not w.cross_checked
         even = _permutations_by_parity(3)[0].tolist()
         expected = [[0] * 7 + [2 + i for block in blocks for i in block]
                     for blocks in itertools.islice(itertools.product(even, repeat=12), 64)]
@@ -736,10 +756,14 @@ class TestBuildWitness:
 
     def test_kronecker_value_memory_does_not_grow_with_the_composed_atoms(self):
         # Seed 22: k = 11, so 3**11 = 177147 composed atoms, of which the
-        # event holds 2; one float per composed atom would take 1.4 MB.
+        # event holds 2; one float per composed atom would take 1.4 MB.  The
+        # cross-check runs on those 2 composed indices alone.  Its phase pair
+        # is atoms 1 and 2, its negative-determinant subset atoms 0 and 1.
         s = generate(GenSpec(WEAK, 3, 22))
         w = build_witness(s)
         assert (w.k, w.component_count, w.cross_checked) == (11, 2, True)
+        assert (w.phase_pair.first, w.phase_pair.second, w.neg_det_atoms) == (1, 2, (0, 1))
+        assert w.cross_check_value < 0
         atoms = component_atoms(w)
         tracemalloc.start()
         try:
@@ -992,11 +1016,16 @@ class TestArrayPaths:
             assert self.hexed(_double_sum(values, comps)) == want
 
     def test_double_sum_memory_stays_within_its_block_budget(self):
-        # Seed 118: 1,458 components of 21 slots.  Its last shared prefixes
+        # Seed 118: 1,458 components of 21 slots, the largest literal double
+        # sum a 3-atom plan can have (2 * 3**6 rows); 3**21 composed atoms
+        # are past the cross-check's limit.  Its last shared prefixes
         # number 486, so a table over all their pairs would take 3.8 MB on
         # top of a block's products and factors; the pairs of all rows, 34 MB.
         # A block of at most DOUBLE_SUM_CELLS pairs is gathered from the block's
         # prefixes only, so three blocks of cells bound the whole sum.
+        w = build_witness(generate(GenSpec(WEAK, 3, 118)))
+        assert (w.p, w.q, w.k, w.component_count, w.cross_checked) == (3, 6, 21, 1458, False)
+        assert w.verified_value < 0
         values, comps = self.literal_inputs(3, 118)
         assert comps.shape == (1458, 21)
         peak = self.traced_peak(lambda: _double_sum(values, comps))
