@@ -118,7 +118,7 @@ def cmd_compose(args) -> int:
     tol = args.tol
     doc_a, sys_a = _load_system(args.first, tol)
     doc_b, sys_b = _load_system(args.second, tol)
-    composed = compose(sys_a, sys_b, tol)
+    composed = compose(sys_a, sys_b)
     name = args.name or f"{doc_a.name}(x){doc_b.name}"
     meta = dict(composed.metadata)
     meta["composed_of"] = [doc_a.name, doc_b.name]

@@ -2,10 +2,15 @@
 
 Composition is defined through atomic matrices: the composed system's
 atomic matrix is the Kronecker product of the factor matrices, under the
-global pair-index convention (i, j) -> i*n2 + j.  ``_kron_form`` evaluates
-the probe's, the tensor probe's and ``marginal_check``'s composed values by
-mode products on the factors, without forming the product; the witness
-cross-check instead gathers the event's entries from ``self_compose``
+global pair-index convention (i, j) -> i*n2 + j.  ``compose`` and
+``self_compose`` build it through ``_product``, which trusts it from its
+factors: each is Hermitian and normalised within its own slack, so the
+product is too, and only its norm, the product of theirs, must be finite.
+A composed document whose factors sit at the edge of their slack may so
+fall outside its own slack when read back, as its Hermitian residual
+could already.  ``_kron_form`` evaluates the probe's, the tensor probe's
+and ``marginal_check``'s composed values by mode products on the factors;
+the witness cross-check gathers the event's entries from ``self_compose``
 blocks.  ``_kron_slack`` gives each composed value the slack its
 materialized product would get.  The rectangle double sum
 ``eval_composed_factored`` is the paper's product rule, kept as the
@@ -20,42 +25,28 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import Event, ProductRectangle, embed_product
-from .errors import ArityMismatchError, BruteForceLimitError
-from .functional import (
-    DEFAULT_TOL,
-    QuantumSystem,
-    Tolerance,
-    _indicators,
-    _KronProduct,
-    eval_D,
-)
+from .errors import ArityMismatchError, AxiomViolationError, BruteForceLimitError
+from .functional import QuantumSystem, Tolerance, _indicators, _KronProduct, eval_D
 
 # Largest composed atom count materialized as an explicit matrix.
 MATERIALIZATION_LIMIT = 4096
 
 
-def compose(s1: QuantumSystem, s2: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
-    """Kronecker-compose two systems into one of arity n1*n2.
-
-    The factors are validated systems, so the product is Hermitian by
-    construction and is not re-checked.  Its entry sum, the product of the
-    factors' sums, is checked in one pass: finite and within slack of 1.
-    The slack needs no pass either, since ||A (x) B||_F = ||A||_F ||B||_F.
-    """
+def compose(s1: QuantumSystem, s2: QuantumSystem) -> QuantumSystem:
+    """Kronecker product of two systems, n1*n2 atoms: a system because its factors are."""
     if s1.n * s2.n > MATERIALIZATION_LIMIT:
         raise BruteForceLimitError(
             f"composed arity {s1.n * s2.n} exceeds materialization limit "
             f"{MATERIALIZATION_LIMIT}"
         )
-    return _kron_system(s1.matrix, s1.labels, s1.metadata.get("name", "?"), s2, tol)
+    return _product([s1, s2])
 
 
-def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> QuantumSystem:
+def self_compose(s: QuantumSystem, k: int) -> QuantumSystem:
     """k-fold Kronecker power of a system: ``compose(compose(s, s), s)`` and so on.
 
-    The power is one chain of ``_kron`` and one system construction, with
-    the matrix, labels and metadata that k - 1 ``compose`` calls would give
-    and the entry-sum check and slack of the last of them.
+    The power is ``_product`` of k copies of s, with the matrix, labels and
+    metadata that k - 1 ``compose`` calls would give.
     """
     if k < 1:
         raise ValueError(f"power k must be >= 1, got {k}")
@@ -64,13 +55,7 @@ def self_compose(s: QuantumSystem, k: int, tol: Tolerance = DEFAULT_TOL) -> Quan
             f"arity {s.n}**{k} exceeds materialization limit {MATERIALIZATION_LIMIT}; "
             "use factored evaluation instead"
         )
-    if k == 1:
-        return s
-    matrix, labels = s.matrix, s.labels
-    for _ in range(k - 2):
-        matrix, labels = _kron(matrix, s.matrix), _pair_labels(labels, s.labels)
-    name = s.metadata.get("name", "?") if k == 2 else "?"
-    return _kron_system(matrix, labels, name, s, tol)
+    return s if k == 1 else _product([s] * k)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,14 +68,24 @@ def _pair_labels(first: Sequence[str], second: Sequence[str]) -> tuple[str, ...]
     return tuple(f"({a},{b})" for a in first for b in second)
 
 
-def _kron_system(matrix: np.ndarray, labels: Sequence[str], name: str,
-                 s: QuantumSystem, tol: Tolerance) -> QuantumSystem:
-    """The system ``compose`` makes from a first factor with these parts and ``s``."""
-    meta = {"composed_of": [name, s.metadata.get("name", "?")],
-            "factor_arities": [matrix.shape[0], s.n]}
-    slack = _kron_slack(tol, float(np.linalg.norm(matrix)), float(np.linalg.norm(s.matrix)))
-    product = _KronProduct(_kron(matrix, s.matrix), slack)
-    return QuantumSystem(product, _pair_labels(labels, s.labels), tol=tol, metadata=meta)
+def _product(factors: Sequence[QuantumSystem]) -> QuantumSystem:
+    """The system of factors[0] (x) ... (x) factors[-1]: the ``_kron`` chain, left to right.
+
+    Labels and metadata are those ``compose`` gives the chain's last pair.
+    The norm, one per distinct factor, is checked before any entry is formed.
+    """
+    with np.errstate(over="ignore"):
+        norms = {f: float(np.linalg.norm(f.matrix)) for f in set(factors)}
+    if not math.isfinite(math.prod(norms[f] for f in factors)):
+        raise AxiomViolationError("the composed matrix's norm overflows double precision")
+    matrix, labels = factors[0].matrix, factors[0].labels
+    for f in factors[1:]:
+        matrix, labels = _kron(matrix, f.matrix), _pair_labels(labels, f.labels)
+    last = factors[-1]
+    first = factors[0].metadata.get("name", "?") if len(factors) == 2 else "?"
+    meta = {"composed_of": [first, last.metadata.get("name", "?")],
+            "factor_arities": [len(matrix) // last.n, last.n]}
+    return QuantumSystem(_KronProduct(matrix), labels, metadata=meta)
 
 
 def _kron_slack(tol: Tolerance, *norms: float) -> float:

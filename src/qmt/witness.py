@@ -253,8 +253,8 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
     submatrix's slack is taken only where det < 0.  Small subsets keep the
     permutation sums and component counts small, but later candidates matter
     when the first's sums leave no feasible exponent.  SearchExhaustedError
-    when there is none says whether the system is PSD within tolerance or
-    its negative minors, if any, have more than PERM_ORDER_MAX atoms.
+    when there is none says whether the system is PSD within tolerance, by
+    lambda_min, and if not, why no minor within the size cap was found.
     """
     n, m = s.n, s.matrix
     found = 0
@@ -276,12 +276,14 @@ def _neg_det_candidates(s: QuantumSystem, tol: Tolerance, limit: int):
         lo = _min_eigenvalue(m)
         searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
                     f"determinant (lambda_min = {lo:.3e})")
-        if n > PERM_ORDER_MAX and lo < -tol.scaled(m):
-            raise SearchExhaustedError(
-                f"{searched}; the system is not PSD, and a negative minor, if there is one, "
-                f"has more than {PERM_ORDER_MAX} atoms, past the search bound"
-            )
-        raise SearchExhaustedError(f"{searched}; the system is PSD or borderline")
+        if lo >= -tol.scaled(m):
+            why = "the system is PSD or borderline"
+        elif n > PERM_ORDER_MAX:
+            why = ("the system is not PSD, and a negative minor, if there is one, "
+                   f"has more than {PERM_ORDER_MAX} atoms, past the search bound")
+        else:
+            why = "the system is not PSD, but no principal minor is negative by more than its slack"
+        raise SearchExhaustedError(f"{searched}; {why}")
 
 
 def find_negative_det_subset(s: QuantumSystem, tol: Tolerance = DEFAULT_TOL) -> NegDetSubset:
@@ -658,9 +660,9 @@ def _kronecker_value(s: QuantumSystem, atoms: np.ndarray, tol: Tolerance, norm: 
     j = 1
     while j < k and n ** (j + 1) <= KRON_BLOCK_ATOMS:
         j += 1
-    blocks = [self_compose(s, j, tol).matrix] * (k // j)
+    blocks = [self_compose(s, j).matrix] * (k // j)
     if k % j:
-        blocks.append(self_compose(s, k % j, tol).matrix)
+        blocks.append(self_compose(s, k % j).matrix)
     support = np.unique(np.ravel_multi_index(tuple(atoms.T), (n,) * k))
     digits = np.unravel_index(support, [len(b) for b in blocks])
     table = blocks[0][digits[0][:, None], digits[0]]

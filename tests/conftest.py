@@ -290,12 +290,14 @@ def oracle_neg_det_candidates(s, tol, limit):
         lo = _min_eigenvalue(m)
         searched = (f"no principal submatrix of at most {PERM_ORDER_MAX} atoms has negative "
                     f"determinant (lambda_min = {lo:.3e})")
-        if n > PERM_ORDER_MAX and lo < -tol.scaled(m):
-            raise SearchExhaustedError(
-                f"{searched}; the system is not PSD, and a negative minor, if there is one, "
-                f"has more than {PERM_ORDER_MAX} atoms, past the search bound"
-            )
-        raise SearchExhaustedError(f"{searched}; the system is PSD or borderline")
+        if lo >= -tol.scaled(m):
+            why = "the system is PSD or borderline"
+        elif n > PERM_ORDER_MAX:
+            why = ("the system is not PSD, and a negative minor, if there is one, "
+                   f"has more than {PERM_ORDER_MAX} atoms, past the search bound")
+        else:
+            why = "the system is not PSD, but no principal minor is negative by more than its slack"
+        raise SearchExhaustedError(f"{searched}; {why}")
 
 
 def oracle_search_case_b(s, tol, pairs, q_cap):

@@ -279,6 +279,16 @@ class TestComposeCommand:
         doc = read_document(out_path)
         assert np.allclose(doc.matrix, bundled_document("posentry_not_strong").matrix)
 
+    def test_a_product_whose_entry_sum_cancels_at_zero_tolerance(self, tmp_path, capsys):
+        # The product's entries sum to 0 in doubles, not 1; it is a system
+        # because its factors are.
+        path, out_path = tmp_path / "big.json", tmp_path / "big2.json"
+        write_document(path, document([[0.5, 1e20j], [-1e20j, 0.5]]))
+        code, _, _ = run(["compose", "--eps", "0", str(path), str(path), "-o", str(out_path)],
+                         capsys)
+        assert code == 0
+        assert read_document(out_path).matrix[0, 3] == -1e40
+
     def test_overflow_exits_4(self, tmp_path, capsys):
         n = 70
         diag = np.diag(np.full(n, 1.0 / n)).astype(complex)
@@ -530,6 +540,13 @@ class TestGenAndVerifyCommands:
             assert code == 0
             line = next(x for x in out.splitlines() if "quantal sum rule" in x)
             assert line.startswith("  quantal sum rule: pass  (") and line.endswith(detail)
+
+    def test_verify_an_exact_system_at_zero_tolerance(self, tmp_path, capsys):
+        path = tmp_path / "exact.json"
+        write_document(path, document([[0.3, 0.15], [0.15, 0.4]]))
+        code, out, _ = run(["verify", "--eps", "0", str(path)], capsys)
+        assert code == 0
+        assert "  quantal sum rule: pass  (max residual 1.110e-16, exhaustive)" in out
 
     def test_verify_non_normalized_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qmt import (
     Event,
     ProductRectangle,
     QuantumSystem,
+    Tolerance,
     classify,
     compose,
     eval_composed_factored,
@@ -16,7 +19,7 @@ from qmt import (
 from qmt.compose import _kron, _kron_form
 from qmt.errors import ArityMismatchError, AxiomViolationError, BruteForceLimitError
 
-from conftest import random_hermitian_system
+from conftest import random_hermitian_system, same_bits
 
 
 def ev(indices, n):
@@ -61,27 +64,35 @@ class TestCompose:
         assert not composed.matrix.flags.writeable
         assert composed.matrix.base is None or not composed.matrix.base.flags.writeable
 
-    def test_normalisation_is_checked_as_the_constructor_checks_it(self):
-        # Each factor is within its slack of 1; the product's sum, about
-        # 1 + 2 * off, is not once off exceeds half the product's slack.
-        outcomes = set()
+    def test_normalisation_is_trusted_from_the_factors(self):
+        # Each factor is within its slack of 1.  The product's sum, about
+        # 1 + 2 * off, falls outside the product's own slack once off
+        # exceeds half of it, yet the product is a system because its
+        # factors are: compose builds every one, and only the raw matrix
+        # is refused by the constructor.
+        refused = 0
         for off in (0.4e-9, 0.6e-9, 0.9e-9, 1.5e-9):
             one = QuantumSystem([[1.0 + off]])
             two = QuantumSystem(np.diag([0.5, 0.5 + off]))
             for a, b in ((one, one), (one, two), (two, two)):
+                product = compose(a, b)
+                assert same_bits(product.matrix, np.kron(a.matrix, b.matrix))
                 try:
-                    QuantumSystem(np.kron(a.matrix, b.matrix))
-                    want = None
+                    QuantumSystem(product.matrix)
                 except AxiomViolationError as exc:
-                    want = str(exc)
-                outcomes.add(want is None)
-                if want is None:
-                    compose(a, b)
-                else:
-                    with pytest.raises(AxiomViolationError, match="expected 1") as info:
-                        compose(a, b)
-                    assert str(info.value) == want
-        assert outcomes == {True, False}
+                    assert "expected 1" in str(exc)
+                    refused += 1
+        assert 0 < refused < 12
+
+    def test_a_product_whose_norm_overflows_is_refused(self):
+        # ||s|| is about 1.4e100, so three factors' norms multiply to 2.8e300
+        # and four to inf, with no numpy warning.
+        s = QuantumSystem([[0.5, 1e100j], [-1e100j, 0.5]], tol=Tolerance(0.0, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert abs(self_compose(s, 3).matrix[0, 7]) == pytest.approx(1e300, rel=1e-15)
+            with pytest.raises(AxiomViolationError, match="norm overflows double precision"):
+                self_compose(s, 4)
 
 
 class TestSelfCompose:
@@ -106,6 +117,20 @@ class TestSelfCompose:
     def test_invalid_power(self, m_system):
         with pytest.raises(ValueError):
             self_compose(m_system, 0)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_equals_the_chained_compose_bit_for_bit(self, k):
+        rng = np.random.default_rng(40 + k)
+        for n in (1, 2, 3, 4):
+            s = random_hermitian_system(rng, n)
+            s = QuantumSystem(s.matrix, [f"x{i}" for i in range(n)], metadata={"name": "s"})
+            chained = s
+            for _ in range(k - 1):
+                chained = compose(chained, s)
+            power = self_compose(s, k)
+            assert same_bits(power.matrix, chained.matrix), (n, k)
+            assert power.labels == chained.labels
+            assert power.metadata == chained.metadata
 
 
 class TestFactoredEvaluation:

@@ -466,6 +466,28 @@ class TestQuantalSumRule:
         assert report.worst_event == Event(0b01011, 5)
         assert report.max_residual == pytest.approx(0.01)
 
+    def test_an_exact_system_passes_at_zero_tolerance(self):
+        # The table's full event is 1 and the half-sum matrix's sweep
+        # gives 1 - 2**-53: a gap of the two paths' rounding only.
+        s = QuantumSystem([[0.3, 0.15], [0.15, 0.4]], tol=Tolerance(0.0, 0.0))
+        report = check_quantal_sum_rule(s, Tolerance(0.0, 0.0))
+        assert report.passed and report.max_residual == 2.0**-53
+
+    @pytest.mark.parametrize("times, passes", [(0.5, True), (2.0, False)])
+    def test_zero_tolerance_allows_the_rounding_bound_only(self, times, passes):
+        # Dyadic entries, so every measure is exact; event 0b0111 is then
+        # moved by a multiple of the bound 16 (n + 1) u sum |a_ij|.
+        m = np.full((4, 4), 1 / 32) + np.diag([1 / 8] * 4)
+        values = event_measures(m)
+        bound = 16 * 5 * 2.0**-53 * np.abs(m).sum()
+        values[0b0111] += times * bound
+        exact = Tolerance(0.0, 0.0)
+        if passes:
+            system_from_measure(MeasureTable(4, values), tol=exact)
+        else:
+            with pytest.raises(SumRuleViolationError, match="event 0x7 "):
+                system_from_measure(MeasureTable(4, values), tol=exact)
+
     def test_half_sum_matches_the_entrywise_rule(self):
         values = event_measures(random_hermitian_system(np.random.default_rng(25), 6).matrix)
         a = _half_sum(values, 6)

@@ -268,6 +268,32 @@ class TestFindNegativeDetSubset:
         assert "a negative minor, if there is one, has more than 6 atoms" in message
         assert "PSD or borderline" not in message
 
+    def test_a_system_outside_s_within_its_minors_slack_is_not_called_psd(self):
+        # The 3-atom weak-only seed-5 system blended toward J/9 until
+        # lambda_min = -1e-8: past the system's slack, so classify says S
+        # no, while every principal minor is negative by less than its slack.
+        d = generate(GenSpec(WEAK, 3, 5)).matrix
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            t = (lo + hi) / 2
+            if np.linalg.eigvalsh((1 - t) * d + t / 9)[0] < -1e-8:
+                lo = t
+            else:
+                hi = t
+        s = QuantumSystem((1 - lo) * d + lo / 9)
+        c = classify(s)
+        assert c.weakly_positive and not c.strongly_positive and not c.positive_entry
+        assert c.min_eigenvalue == pytest.approx(-1e-8, rel=1e-6)
+        with pytest.raises(SearchExhaustedError) as info:
+            build_witness(s)
+        assert str(info.value) == (
+            "no principal submatrix of at most 6 atoms has negative determinant "
+            "(lambda_min = -1.000e-08); the system is not PSD, but no principal minor "
+            "is negative by more than its slack")
+        with pytest.raises(SearchExhaustedError) as oracle:
+            next(oracle_neg_det_candidates(s, DEFAULT_TOL, 1))
+        assert str(oracle.value) == str(info.value)
+
     def test_smallest_subset_preferred(self):
         # non-PSD only through a 2x2 block sitting in a 3-atom system
         m = np.array(
@@ -528,14 +554,36 @@ class TestBuildWitness:
     def test_values_past_the_double_range(self):
         # With no slack the 1e20 entries are a phase pair with diagonals
         # 0.5.  The search reads rows only until p = 2 wins, so no row
-        # takes 1e20**p past 1e308 and numpy warns of no overflow.
+        # takes 1e20**p past 1e308 and numpy warns of no overflow.  The
+        # cross-check's blocks are powers of s, whose entry sums cancel to
+        # 0 in doubles; they are systems because s is.
         exact = Tolerance(0.0, 0.0)
         s = QuantumSystem([[0.5, 1e20j], [-1e20j, 0.5]], tol=exact)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            w = build_witness(s, exact, cross_check_limit=0)
+            w = build_witness(s, exact)
         assert (w.case, w.p, w.q, w.k, w.component_count) == ("b_iii", 2, 1, 4, 2)
         assert w.predicted_value == pytest.approx(-2e80, rel=1e-15)
+        assert w.cross_checked
+        assert w.cross_check_value == pytest.approx(w.verified_value, rel=1e-15)
+
+    @pytest.mark.parametrize("atoms", [2, 3])
+    def test_systems_scaled_within_their_slack_build_and_cross_check(self, atoms):
+        # Scaled by 1 + 5e-10 or 1 + 0.99e-9 each system is within its
+        # slack of normalised; the cross-check's powers of it are systems
+        # too, however far their own entry sums drift from 1.
+        cross_checked = 0
+        for seed in range(40):
+            base = generate(GenSpec(WEAK, atoms, seed))
+            for scale in (1 + 5e-10, 1 + 0.99e-9):
+                s = QuantumSystem(base.matrix * scale)
+                w = build_witness(s)
+                assert w.verified_value < 0, (seed, scale)
+                assert w.cross_checked == (
+                    atoms**w.k <= CROSS_CHECK_LIMIT
+                    and w.component_count**2 <= CROSS_CHECK_CELLS), (seed, scale)
+                cross_checked += w.cross_checked
+        assert cross_checked > 60
 
     @pytest.mark.parametrize("q_cap", [1, 3, 64])
     def test_values_that_overflow_are_refused(self, q_cap):
